@@ -2,7 +2,7 @@
 //! measured values next to the paper's (see `EXPERIMENTS.md`).
 //!
 //! Usage: `cargo run --release -p softwatt-bench --bin experiments
-//! [time_scale] [--jobs N|auto] [--trace-cache DIR] [--fidelity TIER]
+//! [time_scale] [--jobs N|auto] [--trace-cache DIR]
 //! [--metrics] [--metrics-out FILE] [--log-level LEVEL]` — the optional
 //! time-scale factor (default 2000) trades fidelity for speed; `--jobs N`
 //! prewarms the whole run grid on N worker threads before the (serial,
@@ -12,14 +12,6 @@
 //! across processes, and a warm run derives every bundle by replay — same
 //! stdout, no full simulations. The observability flags and the
 //! trace-cache tally go to stderr/file only, never stdout.
-//!
-//! `--fidelity surrogate` runs the surrogate *accuracy gate* instead of
-//! the report: calibrate the counter-driven surrogate, compare its
-//! predicted total CPU energy against the exact tier on every paper-grid
-//! cell, print the per-cell error table, and exit nonzero if the worst
-//! cell exceeds the gate (the model's declared bound capped at 5%). CI
-//! runs this to keep the surrogate honest. `--fidelity replay` (the
-//! default) is the normal exact report.
 
 use softwatt::experiments::{DiskSetup, ExperimentSuite};
 use softwatt::report::paper;
@@ -31,7 +23,6 @@ fn main() {
     let mut time_scale = 2000.0f64;
     let mut jobs = 1usize;
     let mut trace_cache = None;
-    let mut surrogate_gate = false;
     let mut obs = ObsFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -52,17 +43,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--fidelity" => match args.next().as_deref() {
-                Some("surrogate") => surrogate_gate = true,
-                Some("replay") => surrogate_gate = false,
-                other => {
-                    eprintln!(
-                        "--fidelity needs a tier: surrogate or replay (got {})",
-                        other.unwrap_or("nothing")
-                    );
-                    std::process::exit(2);
-                }
-            },
             other => match obs.try_parse(other, || args.next()) {
                 Ok(true) => {}
                 Ok(false) => match other.parse() {
@@ -70,8 +50,7 @@ fn main() {
                     Err(_) => {
                         eprintln!("unknown argument: {other}");
                         eprintln!(
-                            "usage: experiments [time_scale] [--jobs N|auto] [--trace-cache DIR] \
-                             [--fidelity surrogate|replay] {}",
+                            "usage: experiments [time_scale] [--jobs N|auto] [--trace-cache DIR] {}",
                             ObsFlags::USAGE
                         );
                         std::process::exit(2);
@@ -93,21 +72,11 @@ fn main() {
         time_scale,
         ..SystemConfig::default()
     };
-    if !surrogate_gate {
-        println!("SoftWatt experiment harness (time scale {time_scale}x)\n");
-    }
+    println!("SoftWatt experiment harness (time scale {time_scale}x)\n");
     let mut suite = ExperimentSuite::new(config).expect("valid config");
     let caching = store.is_some();
     if let Some(store) = store {
         suite = suite.with_trace_store(store);
-    }
-    if surrogate_gate {
-        let passed = run_surrogate_gate(&suite, time_scale, jobs.max(1));
-        if let Err(e) = obs.finish() {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-        std::process::exit(if passed { 0 } else { 1 });
     }
     if jobs > 1 {
         // Fill the memo in parallel; every table below is then a lookup.
@@ -302,74 +271,6 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(1);
     }
-}
-
-/// The surrogate accuracy gate: calibrate, then compare the surrogate's
-/// predicted total CPU energy against the exact tier on every paper-grid
-/// cell. Returns whether the worst cell is inside the gate (the model's
-/// declared error bound, capped at 5%).
-fn run_surrogate_gate(suite: &ExperimentSuite, time_scale: f64, jobs: usize) -> bool {
-    let grid = suite.paper_grid();
-    println!(
-        "SoftWatt surrogate accuracy gate (time scale {time_scale}x, {} cells)\n",
-        grid.len()
-    );
-    let model = suite.calibrate_surrogate(jobs);
-    println!(
-        "model: {} training window(s), declared error bound {:.2}%\n",
-        model.trained_windows, model.error_bound_pct
-    );
-    println!(
-        "{:<10} {:<6} {:<9} {:>14} {:>14} {:>8}",
-        "benchmark", "cpu", "disk", "exact J", "surrogate J", "err %"
-    );
-    let mut max_err = 0.0f64;
-    let mut worst = String::from("-");
-    // (sum of |err|%, cells) per benchmark, printed as the per-benchmark
-    // mean that EXPERIMENTS.md quotes.
-    let mut by_benchmark: Vec<(String, f64, usize)> = Vec::new();
-    for key in grid {
-        let workload = key.workload.label();
-        let bundle = suite.run_key(key);
-        let exact = bundle.model.mode_table(&bundle.run.log).total_energy_j();
-        let est = model
-            .estimate(&workload, key.cpu.name(), key.disk.name())
-            .expect("calibration covers the whole paper grid");
-        let err = 100.0 * (est.total_energy_j - exact).abs() / exact.max(1e-12);
-        println!(
-            "{:<10} {:<6} {:<9} {:>14.6} {:>14.6} {:>8.4}",
-            workload,
-            key.cpu.name(),
-            key.disk.name(),
-            exact,
-            est.total_energy_j,
-            err
-        );
-        let cell = format!("{}/{}/{}", workload, key.cpu.name(), key.disk.name());
-        if err > max_err {
-            max_err = err;
-            worst = cell;
-        }
-        match by_benchmark
-            .iter_mut()
-            .find(|(name, _, _)| name == &workload)
-        {
-            Some((_, sum, n)) => {
-                *sum += err;
-                *n += 1;
-            }
-            None => by_benchmark.push((workload, err, 1)),
-        }
-    }
-    println!("\nper-benchmark mean error:");
-    for (name, sum, n) in &by_benchmark {
-        println!("  {name:<10} {:.4}%", sum / *n as f64);
-    }
-    let gate = model.error_bound_pct.min(5.0);
-    println!("\nmax error {max_err:.4}% ({worst}); gate {gate:.2}%");
-    let passed = max_err <= gate;
-    println!("GATE: {}", if passed { "PASS" } else { "FAIL" });
-    passed
 }
 
 fn print_extensions(suite: &ExperimentSuite) {

@@ -15,7 +15,7 @@
 //!
 //! Usage: `loadgen [--addr HOST:PORT | --cluster HOST:PORT,...]
 //! [--scale S] [--connections N] [--requests N] [--warmup N]
-//! [--workers N|auto] [--cold-grid] [--surrogate] [--inline-spec]
+//! [--workers N|auto] [--cold-grid] [--inline-spec]
 //! [--trace-cache DIR] [--out FILE]`
 //! (defaults: no addr — spawn an in-process server over real TCP —
 //! scale 50000 for fast simulations, 8 connections x 40 requests,
@@ -36,13 +36,6 @@
 //! response that finally landed (`lanes.*.retries` in the report);
 //! `status.503` counts only requests still bounced after the retry
 //! budget.
-//!
-//! One slot in ten of the request mix asks for `"fidelity": "surrogate"`.
-//! With `--surrogate` the in-process server calibrates the surrogate
-//! model before serving, so those land on the reactor-thread surrogate
-//! lane (the report's `fidelity` section pins their sub-millisecond
-//! percentiles); without it they fall through to the exact tiers, which
-//! answer them identically minus the speed.
 //!
 //! `--warmup N` sends N unrecorded requests per connection (the same
 //! deterministic mix, same indices) before the measured phase; their
@@ -123,41 +116,18 @@ fn backoff_delay(attempt: u32, retry_after_s: Option<u64>, seed: u64) -> Duratio
     Duration::from_millis(base / 2 + jitter)
 }
 
-/// The cold key three `--cold-grid` connections request simultaneously.
-///
-/// In the plain profile this is the grid's own mipsy cell: the probes
-/// race the concurrent batch for it, and the total full-simulation count
-/// stays exactly 13 (the invariant CI's cluster gate reads from
-/// `cluster_totals.runs_executed`). In the all-tiers profile
-/// (`--surrogate`, see [`OFF_GRID`]) the warm-up's figure requests have
-/// already memoized the whole grid, so the probe instead uses a key
-/// outside both the grid (whose only mipsy cell is jess/conv) and the
-/// measured mix — still cold when the probes fire, so the first one
-/// holds the dedup window open with a full simulation the other two
-/// must attach to.
-fn dedup_body() -> &'static str {
-    if OFF_GRID.load(Ordering::Relaxed) {
-        r#"{"benchmark": "compress", "cpu": "mipsy", "disk": "idle"}"#
-    } else {
-        r#"{"benchmark": "jess", "cpu": "mipsy"}"#
-    }
-}
-/// How many connections send [`dedup_body`] at once.
+/// The cold key three `--cold-grid` connections request simultaneously:
+/// the grid's own mipsy cell. The probes race the concurrent batch for
+/// it, so the total full-simulation count stays exactly 13 (the
+/// invariant CI's cluster gate reads from `cluster_totals.runs_executed`).
+const DEDUP_BODY: &str = r#"{"benchmark": "jess", "cpu": "mipsy"}"#;
+/// How many connections send [`DEDUP_BODY`] at once.
 const DEDUP_CONNS: usize = 3;
 
 /// Whether the request mix swaps one run slot in ten for an inline-spec
 /// post (`--inline-spec`). Global because the mix function is pure
 /// per-index; set once before the mux starts.
 static INLINE_SPEC: AtomicBool = AtomicBool::new(false);
-
-/// Whether the measured mix steps off the memoized paper grid to keep
-/// the replay and cold admission lanes exercised (`--surrogate`, the
-/// committed `BENCH_server.json` profile — its warm-up renders every
-/// figure, which memoizes all 37 grid keys, leaving nothing for the
-/// exact tiers to do). Off by default so plainer configurations keep
-/// the exactly-13-full-simulations invariant CI's cluster smoke gates
-/// on. Global for the same reason as [`INLINE_SPEC`].
-static OFF_GRID: AtomicBool = AtomicBool::new(false);
 
 /// The spec body those slots post: canned jess content under a custom
 /// name, so the server sees a user-defined workload it has never heard
@@ -178,7 +148,6 @@ fn inline_spec_json() -> &'static str {
 struct Tally {
     latencies_us: Vec<u64>,
     warmup_latencies_us: Vec<u64>,
-    surrogate_us: Vec<u64>,
     inline_us: Vec<u64>,
     replay_us: Vec<u64>,
     cold_us: Vec<u64>,
@@ -188,9 +157,9 @@ struct Tally {
     server_5xx: u64,
     transport_errors: u64,
     /// `503` bounces absorbed by in-place retries, attributed to the
-    /// lane of the response that finally landed: surrogate, inline,
-    /// replay, cold (same order as the latency vectors above).
-    lane_retries: [u64; 4],
+    /// lane of the response that finally landed: inline, replay, cold
+    /// (same order as the latency vectors above).
+    lane_retries: [u64; 3],
     /// Retried `503`s whose final response carried no lane (still
     /// bounced after the budget, or answered by a lane-less route).
     retries_unattributed: u64,
@@ -199,10 +168,6 @@ struct Tally {
     source_local: u64,
     source_peer: u64,
     source_sim: u64,
-    /// Responses that carried an `X-Softwatt-Fidelity` header.
-    fidelity_tagged: u64,
-    /// Largest `X-Softwatt-Error-Bound-Pct` seen (`None` if never sent).
-    error_bound_pct: Option<f64>,
 }
 
 /// What the `--cold-grid` side traffic observed.
@@ -225,7 +190,6 @@ fn main() {
     let mut warmup = 0usize;
     let mut workers = softwatt_bench::auto_parallelism();
     let mut cold_grid = false;
-    let mut surrogate = false;
     let mut inline_spec = false;
     let mut trace_cache: Option<String> = None;
     let mut out: Option<String> = None;
@@ -234,7 +198,7 @@ fn main() {
         eprintln!(
             "usage: loadgen [--addr HOST:PORT | --cluster HOST:PORT,...] [--scale S] \
              [--connections N] [--requests N] [--warmup N] [--workers N|auto] [--cold-grid] \
-             [--surrogate] [--inline-spec] [--trace-cache DIR] [--out FILE]"
+             [--inline-spec] [--trace-cache DIR] [--out FILE]"
         );
         std::process::exit(2);
     }
@@ -270,7 +234,6 @@ fn main() {
             },
             "--workers" => workers = count("--workers", "thread count"),
             "--cold-grid" => cold_grid = true,
-            "--surrogate" => surrogate = true,
             "--inline-spec" => inline_spec = true,
             "--trace-cache" => trace_cache = Some(value("--trace-cache")),
             "--out" => out = Some(value("--out")),
@@ -295,11 +258,6 @@ fn main() {
         (addr, true) | (addr @ Some(_), false) => {
             if trace_cache.is_some() {
                 eprintln!("loadgen: --trace-cache ignored with --addr (the server owns its cache)");
-            }
-            if surrogate {
-                eprintln!(
-                    "loadgen: --surrogate ignored with --addr (start the server with --surrogate)"
-                );
             }
             let listed = if let Some(addr) = addr {
                 vec![addr]
@@ -334,13 +292,6 @@ fn main() {
                 Ok(None) => {}
                 Err(e) => usage_exit(&e),
             }
-            if surrogate {
-                let model = suite.calibrate_surrogate(workers);
-                eprintln!(
-                    "loadgen: surrogate calibrated ({} windows, bound {:.2}%)",
-                    model.trained_windows, model.error_bound_pct
-                );
-            }
             let suite = Arc::new(suite);
             let config = ServeConfig {
                 workers,
@@ -368,16 +319,8 @@ fn main() {
     );
 
     INLINE_SPEC.store(inline_spec, Ordering::Relaxed);
-    OFF_GRID.store(surrogate, Ordering::Relaxed);
     let (mut total, wall_s, cold_stats) =
         run_mux(&targets, connections, requests, warmup, cold_grid);
-
-    // Unloaded surrogate probe: with the measured closed loop finished,
-    // one idle keep-alive connection sends sequential surrogate queries.
-    // Their RTT is the surrogate lane's service latency without the
-    // saturation queueing the per-lane numbers above include — this is
-    // the "answered inline on the reactor" figure.
-    let unloaded_surrogate_us = probe_unloaded_surrogate(targets[0]);
 
     // One metrics probe per node before shutdown: queue high-water
     // marks and dedup for the report's `server` section (first node),
@@ -393,22 +336,20 @@ fn main() {
         .collect();
     let metrics_body = metrics_bodies[0].clone();
 
-    // (runs_executed, replays_derived, surrogate_served, store_loads)
-    let mut server_stats: Option<(u64, u64, u64, u64)> = None;
+    // (runs_executed, replays_derived, store_loads)
+    let mut server_stats: Option<(u64, u64, u64)> = None;
     if let Some((suite, handle, thread)) = local_server {
         handle.trigger();
         thread.join().expect("server thread panicked");
         server_stats = Some((
             suite.runs_executed() as u64,
             suite.replays_derived() as u64,
-            suite.surrogate_served() as u64,
             suite.store_loads() as u64,
         ));
     }
 
     total.latencies_us.sort_unstable();
     total.warmup_latencies_us.sort_unstable();
-    total.surrogate_us.sort_unstable();
     total.inline_us.sort_unstable();
     total.replay_us.sort_unstable();
     total.cold_us.sort_unstable();
@@ -420,41 +361,29 @@ fn main() {
     let mut json = String::with_capacity(4096);
     let _ = write!(
         json,
-        "{{\n  \"schema\": \"softwatt-bench-server-v5\",\n  \"time_scale\": {scale},\n  \
+        "{{\n  \"schema\": \"softwatt-bench-server-v6\",\n  \"time_scale\": {scale},\n  \
          \"connections\": {connections},\n  \"requests_per_connection\": {requests},\n  \
          \"warmup_per_connection\": {warmup},\n  \"trace_cache\": {caching},\n  \
-         \"cold_grid\": {cold_grid},\n  \"surrogate\": {surrogate},\n  \
+         \"cold_grid\": {cold_grid},\n  \
          \"inline_spec\": {inline_spec},\n  \"cluster\": {cluster_mode},\n  \
          \"requests_sent\": {sent},\n  \"responses\": {answered},\n  \
          \"wall_s\": {wall_s:.6},\n  \"throughput_rps\": {:.2},\n  \
          \"latency_us\": {},\n  \
-         \"lanes\": {{\"surrogate\": {}, \"inline\": {}, \"replay\": {}, \"cold\": {}}},\n  \
+         \"lanes\": {{\"inline\": {}, \"replay\": {}, \"cold\": {}}},\n  \
          \"retries_503\": {{\"total\": {retries_total}, \"unattributed\": {}}},\n  \
          \"source\": {{\"local\": {}, \"peer\": {}, \"sim\": {}}},\n  \
-         \"fidelity\": {{\"surrogate_enabled\": {surrogate}, \"tagged_responses\": {}, \
-         \"error_bound_pct\": {}, \"unloaded_rtt_us\": {}}},\n  \
          \"warmup\": {{\"responses\": {warmed}, \"latency_us\": {}}},\n  \
          \"status\": {{\"2xx\": {}, \"4xx\": {}, \"503\": {}, \"5xx\": {}, \
          \"transport_errors\": {}}}",
         answered as f64 / wall_s.max(1e-9),
         latency_json(&total.latencies_us),
-        lane_json(&total.surrogate_us, total.lane_retries[0]),
-        lane_json(&total.inline_us, total.lane_retries[1]),
-        lane_json(&total.replay_us, total.lane_retries[2]),
-        lane_json(&total.cold_us, total.lane_retries[3]),
+        lane_json(&total.inline_us, total.lane_retries[0]),
+        lane_json(&total.replay_us, total.lane_retries[1]),
+        lane_json(&total.cold_us, total.lane_retries[2]),
         total.retries_unattributed,
         total.source_local,
         total.source_peer,
         total.source_sim,
-        total.fidelity_tagged,
-        total
-            .error_bound_pct
-            .map_or_else(|| "null".into(), |b| format!("{b:?}")),
-        if unloaded_surrogate_us.is_empty() {
-            "null".into()
-        } else {
-            latency_json(&unloaded_surrogate_us)
-        },
         latency_json(&total.warmup_latencies_us),
         total.ok_2xx,
         total.client_4xx,
@@ -533,15 +462,13 @@ fn main() {
         json,
         ",\n  \"server\": {{\"dedup_attached\": {}, \"queue_depth_max\": \
          {{\"replay\": {}, \"cold\": {}}}, \"connections_open_max\": {}, \
-         \"runs_executed\": {}, \"replays_derived\": {}, \
-         \"surrogate_served\": {}, \"store_loads\": {}}}\n}}\n",
+         \"runs_executed\": {}, \"replays_derived\": {}, \"store_loads\": {}}}\n}}\n",
         metric("serve.dedup_attached"),
         metric("serve.lane.replay.queue_depth_max"),
         metric("serve.lane.cold.queue_depth_max"),
         metric("serve.connections.open_max"),
         server_stats.map_or_else(|| "null".into(), |(r, ..)| r.to_string()),
-        server_stats.map_or_else(|| "null".into(), |(_, d, ..)| d.to_string()),
-        server_stats.map_or_else(|| "null".into(), |(_, _, s, _)| s.to_string()),
+        server_stats.map_or_else(|| "null".into(), |(_, d, _)| d.to_string()),
         server_stats.map_or_else(|| "null".into(), |(.., l)| l.to_string()),
     );
     print!("{json}");
@@ -549,43 +476,13 @@ fn main() {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     }
-    if let Some((runs, replays, surro, loads)) = server_stats {
+    if let Some((runs, replays, loads)) = server_stats {
         eprintln!(
             "loadgen: suite tallies — {runs} full simulation(s), {replays} replay(s), \
-             {surro} surrogate estimate(s), {loads} store load(s)"
+             {loads} store load(s)"
         );
     }
     eprintln!("wrote {out}");
-}
-
-/// Sequential surrogate queries on one otherwise-idle connection: the
-/// round trips of responses the server actually tagged
-/// `X-Softwatt-Fidelity: surrogate`, sorted. Empty when the server has
-/// no model installed (the requests fall through to the exact tiers) or
-/// the connection fails — the report then shows `null`.
-fn probe_unloaded_surrogate(target: std::net::SocketAddr) -> Vec<u64> {
-    const PROBE_WARMUP: usize = 16;
-    const PROBES: usize = 200;
-    let body = "{\"benchmark\": \"jess\", \"cpu\": \"mxs\", \"fidelity\": \"surrogate\"}";
-    let Ok(mut client) = Client::connect(target, TIMEOUT) else {
-        return Vec::new();
-    };
-    let mut rtts = Vec::with_capacity(PROBES);
-    for i in 0..PROBE_WARMUP + PROBES {
-        let start = Instant::now();
-        let Ok(resp) = client.request("POST", "/v1/run", body) else {
-            return Vec::new();
-        };
-        let us = start.elapsed().as_micros() as u64;
-        if resp.status != 200 || resp.header("x-softwatt-fidelity") != Some("surrogate") {
-            return Vec::new();
-        }
-        if i >= PROBE_WARMUP {
-            rtts.push(us);
-        }
-    }
-    rtts.sort_unstable();
-    rtts
 }
 
 /// Nearest-rank percentile of an already-sorted latency list.
@@ -631,20 +528,10 @@ fn metric_value(body: &str, name: &str) -> Option<u64> {
 }
 
 /// The deterministic request mix for request `i` on connection `conn`:
-/// mostly single runs rotating over the benchmark/disk grid, with one
-/// surrogate-tier slot in ten, and figure, health, and metrics probes
-/// folded in. No randomness — reruns are reproducible and the memo hit
-/// pattern is stable.
-///
-/// Warm-up figure requests compute the entire paper grid, so by the
-/// measured phase every grid key resolves inline from the memo. To keep
-/// the exact tiers exercised under load, two measured-only slots step
-/// off the grid: slot 1 asks for mxs1 on non-conventional disks (the
-/// grid captured an mxs1 trace per benchmark but only memoized the
-/// conventional cell, so the first request per key is a replay), and
-/// slot 8 asks for mipsy on benchmarks the grid never ran (no trace at
-/// all, so the first request per key is a cold full simulation).
-fn request_for(conn: usize, i: usize, measured: bool) -> (&'static str, String, String) {
+/// mostly single runs rotating over the benchmark/disk grid, with
+/// figure, health, and metrics probes folded in. No randomness — reruns
+/// are reproducible and the memo hit pattern is stable.
+fn request_for(conn: usize, i: usize) -> (&'static str, String, String) {
     let n = conn * 7919 + i; // offset per connection so mixes interleave
     match n % 10 {
         0 => ("GET", "/healthz".into(), String::new()),
@@ -654,37 +541,6 @@ fn request_for(conn: usize, i: usize, measured: bool) -> (&'static str, String, 
             ("GET", format!("/v1/figures/{name}"), String::new())
         }
         9 => ("GET", "/metrics".into(), String::new()),
-        1 if measured && OFF_GRID.load(Ordering::Relaxed) => {
-            let benchmark = Benchmark::ALL[n % Benchmark::ALL.len()];
-            let disks = [
-                DiskSetup::IdleOnly,
-                DiskSetup::Standby2s,
-                DiskSetup::Standby4s,
-            ];
-            let disk = disks[(n / 10) % disks.len()];
-            let body = format!(
-                "{{\"benchmark\": \"{}\", \"cpu\": \"mxs1\", \"disk\": \"{}\"}}",
-                benchmark.name(),
-                disk.name()
-            );
-            ("POST", "/v1/run".into(), body)
-        }
-        8 if measured && OFF_GRID.load(Ordering::Relaxed) => {
-            // compress stays reserved for the dedup probe (DEDUP_BODY)
-            // and jess/mipsy is already warm from the grid.
-            let cold = [
-                Benchmark::Db,
-                Benchmark::Javac,
-                Benchmark::Mtrt,
-                Benchmark::Jack,
-            ];
-            let benchmark = cold[n % cold.len()];
-            let body = format!(
-                "{{\"benchmark\": \"{}\", \"cpu\": \"mipsy\", \"disk\": \"idle\"}}",
-                benchmark.name()
-            );
-            ("POST", "/v1/run".into(), body)
-        }
         slot => {
             let benchmark = Benchmark::ALL[n % Benchmark::ALL.len()];
             let disk = [DiskSetup::Conventional, DiskSetup::IdleOnly][(n / 6) % 2];
@@ -699,16 +555,8 @@ fn request_for(conn: usize, i: usize, measured: bool) -> (&'static str, String, 
                 );
                 return ("POST", "/v1/run".into(), body);
             }
-            // Slot 3 opts into the surrogate tier. Against a calibrated
-            // server it lands on the surrogate lane; otherwise it falls
-            // through to the exact tiers and answers identically.
-            let fidelity = if slot == 3 {
-                ", \"fidelity\": \"surrogate\""
-            } else {
-                ""
-            };
             let body = format!(
-                "{{\"benchmark\": \"{}\", \"disk\": \"{}\"{fidelity}}}",
+                "{{\"benchmark\": \"{}\", \"disk\": \"{}\"}}",
                 benchmark.name(),
                 disk.name()
             );
@@ -729,10 +577,6 @@ struct RespHead {
     lane: Option<String>,
     /// `X-Softwatt-Source` value, when present (`local|peer|sim`).
     source: Option<String>,
-    /// `X-Softwatt-Fidelity` value, when present.
-    fidelity: Option<String>,
-    /// `X-Softwatt-Error-Bound-Pct` value, when present.
-    error_bound_pct: Option<f64>,
     /// `Retry-After` seconds, when present (on `503`s).
     retry_after: Option<u64>,
     /// `Connection: close` was sent.
@@ -748,8 +592,6 @@ fn parse_head(buf: &[u8]) -> Option<RespHead> {
     let mut body_len = 0;
     let mut lane = None;
     let mut source = None;
-    let mut fidelity = None;
-    let mut error_bound_pct = None;
     let mut retry_after = None;
     let mut close = false;
     for line in lines {
@@ -763,10 +605,6 @@ fn parse_head(buf: &[u8]) -> Option<RespHead> {
             lane = Some(value.to_string());
         } else if name.eq_ignore_ascii_case("x-softwatt-source") {
             source = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("x-softwatt-fidelity") {
-            fidelity = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("x-softwatt-error-bound-pct") {
-            error_bound_pct = value.parse().ok();
         } else if name.eq_ignore_ascii_case("retry-after") {
             retry_after = value.parse().ok();
         } else if name.eq_ignore_ascii_case("connection") {
@@ -779,8 +617,6 @@ fn parse_head(buf: &[u8]) -> Option<RespHead> {
         body_len,
         lane,
         source,
-        fidelity,
-        error_bound_pct,
         retry_after,
         close,
     })
@@ -885,7 +721,7 @@ impl MuxConn {
     /// Loads the next request of the current phase into the write buffer
     /// and pushes as much of it as the socket takes right now.
     fn issue(&mut self, epoll: &Epoll) {
-        let (method, path, body) = request_for(self.id, self.index, self.phase == Phase::Measured);
+        let (method, path, body) = request_for(self.id, self.index);
         self.write_buf = format_request(method, &path, &body);
         self.write_pos = 0;
         self.sent_at = Instant::now();
@@ -1101,21 +937,17 @@ fn step(
             }
             tally.latencies_us.push(us);
             let lane_idx = match head.lane.as_deref() {
-                Some("surrogate") => {
-                    tally.surrogate_us.push(us);
-                    Some(0)
-                }
                 Some("inline") => {
                     tally.inline_us.push(us);
-                    Some(1)
+                    Some(0)
                 }
                 Some("replay") => {
                     tally.replay_us.push(us);
-                    Some(2)
+                    Some(1)
                 }
                 Some("cold") => {
                     tally.cold_us.push(us);
-                    Some(3)
+                    Some(2)
                 }
                 _ => None, // health/metrics probes and errors carry no lane
             };
@@ -1131,13 +963,6 @@ fn step(
                 Some("peer") => tally.source_peer += 1,
                 Some("sim") => tally.source_sim += 1,
                 _ => {}
-            }
-            if head.fidelity.is_some() {
-                tally.fidelity_tagged += 1;
-            }
-            if let Some(bound) = head.error_bound_pct {
-                tally.error_bound_pct =
-                    Some(tally.error_bound_pct.map_or(bound, |b: f64| b.max(bound)));
             }
             match head.status {
                 200..=299 => tally.ok_2xx += 1,
@@ -1299,7 +1124,7 @@ fn run_cold_grid(target: SocketAddr) -> ColdGridStats {
                 .name(format!("loadgen-dedup-{i}"))
                 .spawn(move || {
                     let mut client = Client::connect(target, TIMEOUT).expect("dedup connect");
-                    request_with_retries(&mut client, "POST", "/v1/run", dedup_body(), i as u64 + 1)
+                    request_with_retries(&mut client, "POST", "/v1/run", DEDUP_BODY, i as u64 + 1)
                 })
                 .expect("spawn dedup run")
         })

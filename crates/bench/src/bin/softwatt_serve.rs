@@ -8,7 +8,7 @@
 //! Usage: `softwatt-serve [--addr HOST:PORT] [--scale S] [--workers N|auto]
 //! [--queue-depth N] [--cold-workers N|auto] [--cold-queue-depth N]
 //! [--max-connections N] [--trace-cache DIR] [--trace-cache-max-bytes N]
-//! [--peers HOST:PORT,...] [--advertise HOST:PORT] [--surrogate]
+//! [--peers HOST:PORT,...] [--advertise HOST:PORT]
 //! [--metrics] [--metrics-out FILE] [--log-level LEVEL]`
 //! (defaults: addr `127.0.0.1:0` — an ephemeral port — scale 2000, the
 //! committed-fidelity setting; pass e.g. `--scale 50000` for a fast
@@ -17,23 +17,18 @@
 //! `--peers` joins the distributed trace fabric: the listed servers plus
 //! this one form a consistent-hash ring over trace keys, and a local
 //! trace miss fetches the owning peer's `swtrace-v1` bytes before
-//! falling back to simulation (see `DESIGN.md` §14). Requires a fixed
-//! port (`--addr HOST:PORT` or `--advertise HOST:PORT`) so every member
-//! hashes the same membership. `--trace-cache-max-bytes` soft-caps the
-//! trace cache directory, evicting oldest-mtime entries on write.
+//! falling back to simulation (see `DESIGN.md` §14), so a `/v1/batch`
+//! sent to every peer spreads a cold grid by ring ownership. Requires a
+//! fixed port (`--addr HOST:PORT` or `--advertise HOST:PORT`) so every
+//! member hashes the same membership. `--trace-cache-max-bytes`
+//! soft-caps the trace cache directory, evicting oldest-mtime entries on
+//! write.
 //!
 //! `--trace-cache DIR` (or `SOFTWATT_TRACE_CACHE`) attaches the
 //! persistent trace store and warm-starts the service: every paper-grid
 //! trace the store already has is loaded *before* the `listening on` line
 //! is printed, so first-touch requests replay instead of simulating —
 //! this is what turns the cold-start p99 tail into a warm one.
-//!
-//! `--surrogate` calibrates the counter-driven surrogate model before the
-//! `listening on` line (loading a persisted model from the trace-cache
-//! directory when one matches, else prewarming the paper grid and
-//! fitting), so `/v1/run` queries carrying `"fidelity": "surrogate"` are
-//! answered on the reactor thread in microseconds. The model then refits
-//! in the background as new full simulations land.
 //!
 //! The one stdout line is `listening on HOST:PORT`, printed once the
 //! socket is bound, so scripts can discover the ephemeral port. SIGINT /
@@ -83,7 +78,6 @@ fn main() {
     let mut obs = ObsFlags::default();
     let mut trace_cache = None;
     let mut trace_cache_max_bytes = None;
-    let mut surrogate = false;
     let mut peers: Vec<String> = Vec::new();
     let mut advertise = None;
     fn usage_exit(msg: &str) -> ! {
@@ -92,7 +86,7 @@ fn main() {
             "usage: softwatt-serve [--addr HOST:PORT] [--scale S] [--workers N|auto] \
              [--queue-depth N] [--cold-workers N|auto] [--cold-queue-depth N] \
              [--max-connections N] [--trace-cache DIR] [--trace-cache-max-bytes N] \
-             [--peers HOST:PORT,...] [--advertise HOST:PORT] [--surrogate] {}",
+             [--peers HOST:PORT,...] [--advertise HOST:PORT] {}",
             ObsFlags::USAGE
         );
         std::process::exit(2);
@@ -126,7 +120,6 @@ fn main() {
                     .collect();
             }
             "--advertise" => advertise = Some(value("--advertise")),
-            "--surrogate" => surrogate = true,
             "--workers" => config.workers = count("--workers", "thread count"),
             "--queue-depth" => config.queue_depth = count("--queue-depth", "queue capacity"),
             "--cold-workers" => config.cold_workers = count("--cold-workers", "thread count"),
@@ -196,17 +189,6 @@ fn main() {
             fabric.ring().len()
         );
         suite = suite.with_peer_source(Arc::new(fabric));
-    }
-    if surrogate {
-        // Calibrate before binding: a persisted model loads in
-        // milliseconds; a cold calibration prewarms the paper grid (also
-        // warming the exact tiers) and fits. Either way the surrogate
-        // lane is live before the first request can arrive.
-        let model = suite.calibrate_surrogate(softwatt_bench::auto_parallelism());
-        eprintln!(
-            "surrogate: calibrated over {} window(s), error bound {:.2}%",
-            model.trained_windows, model.error_bound_pct
-        );
     }
     let suite = Arc::new(suite);
     let server = match Server::bind(addr.as_str(), suite, config) {

@@ -17,15 +17,12 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use softwatt_disk::{DiskConfig, DiskMode, DiskPolicy, DiskPowerTable};
 use softwatt_os::KernelService;
-use softwatt_power::{
-    GroupPower, PowerModel, SurrogateEstimate, SurrogateModel, SurrogateTrainer, UnitGroup,
-};
+use softwatt_power::{GroupPower, PowerModel, UnitGroup};
 use softwatt_stats::{Mode, PerfTrace};
 use softwatt_workloads::{Benchmark, BenchmarkSpec};
 
 use crate::budget::{system_budget, SystemBudget};
 use crate::config::{CpuModel, IdleHandling, SystemConfig};
-use crate::model_store::{ModelKey, ModelStore};
 use crate::report::{joules, pct};
 use crate::sim::{RunResult, Simulator};
 use crate::store::{PeerSource, TraceKey, TraceStore};
@@ -105,48 +102,6 @@ impl DiskSetup {
     }
 }
 
-/// The answer-quality tier a caller asks for. Orthogonal to the memo
-/// identity ([`RunKey`]): all three tiers answer the *same* question about
-/// the same machine setup, at different cost/accuracy points, and only the
-/// two exact tiers ever enter the run/trace memos — a surrogate answer can
-/// never poison them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Fidelity {
-    /// Microsecond counter-surrogate estimate
-    /// ([`ExperimentSuite::surrogate_estimate`]), with an explicit error
-    /// bound; falls back to the exact tiers when no model covers the key.
-    Surrogate,
-    /// The default exact tier: memo → trace replay → full simulation.
-    #[default]
-    Replay,
-    /// Exact, forcing a full simulation on a memo miss (never replay).
-    /// Bit-identical to [`Fidelity::Replay`] — replay equivalence is a
-    /// repo invariant — so it exists for A/B auditing, not accuracy.
-    Full,
-}
-
-impl Fidelity {
-    /// Stable short name used by CLIs and the serving API (the inverse of
-    /// [`Fidelity::from_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Fidelity::Surrogate => "surrogate",
-            Fidelity::Replay => "replay",
-            Fidelity::Full => "full",
-        }
-    }
-
-    /// Parses a [`Fidelity::name`]; `None` for an unknown name.
-    pub fn from_name(name: &str) -> Option<Fidelity> {
-        match name {
-            "surrogate" => Some(Fidelity::Surrogate),
-            "replay" => Some(Fidelity::Replay),
-            "full" => Some(Fidelity::Full),
-            _ => None,
-        }
-    }
-}
-
 /// The workload half of a [`RunKey`]: one of the six canned paper
 /// benchmarks, or a user-supplied [`BenchmarkSpec`] addressed by its
 /// [`BenchmarkSpec::content_hash`]. Both variants are `Copy` so the key
@@ -171,7 +126,7 @@ impl WorkloadKey {
 
     /// Stable label: the benchmark name for canned workloads,
     /// `spec:<16-hex-digit content hash>` for registered specs. This is
-    /// the string surrogate models and API clients see.
+    /// the string API clients and log lines see.
     pub fn label(self) -> String {
         match self {
             WorkloadKey::Canned(b) => b.name().to_string(),
@@ -233,16 +188,6 @@ pub struct RunBundle {
     pub run: RunResult,
     /// The matching analytical power model.
     pub model: PowerModel,
-}
-
-/// What [`ExperimentSuite::run_at`] produced for a key: a shared exact
-/// bundle, or a counter-surrogate estimate carrying its error bound.
-#[derive(Debug)]
-pub enum RunOutcome {
-    /// An exact answer from the memo/replay/full tiers.
-    Exact(Arc<RunBundle>),
-    /// A microsecond surrogate estimate.
-    Estimate(SurrogateEstimate),
 }
 
 /// A memo slot: either the finished value, or a ticket other threads
@@ -370,13 +315,10 @@ pub struct ExperimentSuite {
     /// Where each memoized trace came from (`"local"` store hit, `"peer"`
     /// fetch, `"sim"` capture), for the `X-Softwatt-Source` header.
     trace_sources: Mutex<HashMap<(WorkloadKey, CpuModel), &'static str>>,
-    model_store: Option<ModelStore>,
-    surrogate: RwLock<Option<Arc<SurrogateModel>>>,
     executed: AtomicUsize,
     replays: AtomicUsize,
     store_loads: AtomicUsize,
     peer_loads: AtomicUsize,
-    surrogate_served: AtomicUsize,
 }
 
 impl ExperimentSuite {
@@ -418,13 +360,10 @@ impl ExperimentSuite {
             store: None,
             peers: None,
             trace_sources: Mutex::new(HashMap::new()),
-            model_store: None,
-            surrogate: RwLock::new(None),
             executed: AtomicUsize::new(0),
             replays: AtomicUsize::new(0),
             store_loads: AtomicUsize::new(0),
             peer_loads: AtomicUsize::new(0),
-            surrogate_served: AtomicUsize::new(0),
         })
     }
 
@@ -438,9 +377,6 @@ impl ExperimentSuite {
     /// which by definition never touches traces.
     #[must_use]
     pub fn with_trace_store(mut self, store: TraceStore) -> ExperimentSuite {
-        // Surrogate models are cached next to the traces they are fitted
-        // from; a store failure only disables model persistence.
-        self.model_store = ModelStore::open(store.dir()).ok();
         self.store = Some(store);
         self
     }
@@ -511,12 +447,6 @@ impl ExperimentSuite {
     /// simulation.
     pub fn replays_derived(&self) -> usize {
         self.replays.load(Ordering::Acquire)
-    }
-
-    /// How many requests were answered by the counter surrogate instead
-    /// of an exact tier.
-    pub fn surrogate_served(&self) -> usize {
-        self.surrogate_served.load(Ordering::Acquire)
     }
 
     /// Runs (or returns the memoized) simulation for one machine setup.
@@ -832,10 +762,6 @@ impl ExperimentSuite {
     /// Produces one bundle (always a memo miss): by trace replay when
     /// enabled, by direct full simulation otherwise.
     fn execute(&self, key: RunKey) -> RunBundle {
-        self.execute_with(key, self.replay_enabled)
-    }
-
-    fn execute_with(&self, key: RunKey, use_replay: bool) -> RunBundle {
         let mut config = self.config.clone();
         config.cpu = key.cpu;
         config.disk = DiskConfig {
@@ -844,7 +770,7 @@ impl ExperimentSuite {
         };
         config.idle = IdleHandling::Analytic;
         let sim = Simulator::new(config.clone()).expect("validated config");
-        let run = if use_replay {
+        let run = if self.replay_enabled {
             let trace = self.trace_for(key.workload, key.cpu);
             self.replays.fetch_add(1, Ordering::AcqRel);
             softwatt_obs::count("suite.replays", 1);
@@ -868,117 +794,6 @@ impl ExperimentSuite {
             run,
             model: PowerModel::new(&config.power_params()),
         }
-    }
-
-    // ----- The surrogate fidelity tier -----------------------------------
-
-    /// Answers `key` at the requested [`Fidelity`].
-    ///
-    /// `Surrogate` tries the calibrated counter model first and falls back
-    /// to the exact replay tier when no model covers the key, so the call
-    /// always produces an answer. `Replay` is [`ExperimentSuite::run_key`];
-    /// `Full` forces a memo miss to execute as a full simulation (the
-    /// memoized value is bit-identical either way, so exact memo entries
-    /// stay interchangeable across fidelities).
-    pub fn run_at(&self, key: RunKey, fidelity: Fidelity) -> RunOutcome {
-        match fidelity {
-            Fidelity::Surrogate => match self.surrogate_estimate(key) {
-                Some(est) => RunOutcome::Estimate(est),
-                None => RunOutcome::Exact(self.run_key(key)),
-            },
-            Fidelity::Replay => RunOutcome::Exact(self.run_key(key)),
-            Fidelity::Full => RunOutcome::Exact(memoize(&self.runs, key, &BUNDLE_MEMO, || {
-                self.execute_with(key, false)
-            })),
-        }
-    }
-
-    /// The currently installed surrogate model, if any.
-    pub fn surrogate_model(&self) -> Option<Arc<SurrogateModel>> {
-        self.surrogate.read().expect("surrogate lock").clone()
-    }
-
-    /// A microsecond estimate for `key` from the calibrated counter
-    /// surrogate: `None` when no model is installed or the model has no
-    /// cell for the key. Never touches the run/trace memos, never
-    /// simulates, never blocks on in-flight work — exact-tier state is
-    /// byte-identical with and without surrogate traffic.
-    pub fn surrogate_estimate(&self, key: RunKey) -> Option<SurrogateEstimate> {
-        let model = self.surrogate_model()?;
-        let est = model.estimate(&key.workload.label(), key.cpu.name(), key.disk.name())?;
-        self.surrogate_served.fetch_add(1, Ordering::AcqRel);
-        softwatt_obs::count("suite.surrogate_served", 1);
-        Some(est)
-    }
-
-    /// Keys whose bundles are finished in the memory memo, in a stable
-    /// order — the harvestable training set for a refit.
-    fn memoized_run_keys(&self) -> Vec<RunKey> {
-        let slots = self.runs.lock().expect("memo lock");
-        let mut keys: Vec<RunKey> = slots
-            .iter()
-            .filter_map(|(key, slot)| matches!(slot, Slot::Ready(_)).then_some(*key))
-            .collect();
-        keys.sort_by_key(|k| (k.workload.label(), k.cpu.name(), k.disk.name()));
-        keys
-    }
-
-    /// Refits the surrogate from every run currently memoized and installs
-    /// the new model, returning it; `None` (leaving any existing model in
-    /// place) when nothing is memoized yet. Deterministic: the same set of
-    /// memoized runs produces a bit-identical model regardless of the
-    /// order they landed in.
-    pub fn refit_surrogate(&self) -> Option<Arc<SurrogateModel>> {
-        let _span = softwatt_obs::span("suite.surrogate_refit_ns");
-        let mut trainer = SurrogateTrainer::new();
-        for key in self.memoized_run_keys() {
-            let Some(bundle) = self.bundle_if_ready(key) else {
-                continue;
-            };
-            let exact = bundle.model.mode_table(&bundle.run.log).total_energy_j();
-            trainer.add_run(
-                &key.workload.label(),
-                key.cpu.name(),
-                key.disk.name(),
-                &bundle.run.log,
-                &bundle.model,
-                bundle.run.duration_s,
-                bundle.run.committed,
-                bundle.run.user_instrs,
-                bundle.run.disk.energy_j,
-                exact,
-            );
-        }
-        let model = Arc::new(trainer.fit()?);
-        *self.surrogate.write().expect("surrogate lock") = Some(Arc::clone(&model));
-        softwatt_obs::count("suite.surrogate_refits", 1);
-        Some(model)
-    }
-
-    /// Ensures a surrogate model is installed and returns it: the already
-    /// installed model, else the persistent model store's entry, else a
-    /// fresh calibration — prewarm the paper grid on up to `jobs` threads,
-    /// refit, and persist the result for the next process.
-    pub fn calibrate_surrogate(&self, jobs: usize) -> Arc<SurrogateModel> {
-        if let Some(model) = self.surrogate_model() {
-            return model;
-        }
-        if let Some(store) = &self.model_store {
-            if let Some(model) = store.load(&ModelKey::derive(&self.config)) {
-                let model = Arc::new(model);
-                *self.surrogate.write().expect("surrogate lock") = Some(Arc::clone(&model));
-                return model;
-            }
-        }
-        let _span = softwatt_obs::span("suite.surrogate_calibrate_ns");
-        self.prewarm(&self.paper_grid(), jobs);
-        let model = self
-            .refit_surrogate()
-            .expect("the prewarmed paper grid is non-empty training data");
-        if let Some(store) = &self.model_store {
-            store.store(&ModelKey::derive(&self.config), &model);
-        }
-        model
     }
 
     /// Every distinct machine setup the full paper evaluation touches.

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use softwatt_power::{SurrogateEstimate, UnitGroup};
+use softwatt_power::UnitGroup;
 use softwatt_stats::Mode;
 use softwatt_workloads::BenchmarkSpec;
 
@@ -232,40 +232,6 @@ pub fn run_bundle(key: RunKey, bundle: &RunBundle) -> String {
     .expect("write to string");
     push_f64(&mut out, run.disk.energy_j);
     out.push_str("}}");
-    out
-}
-
-/// Renders one surrogate estimate as the `/v1/run` response body at
-/// `fidelity=surrogate`. Deliberately a distinct schema from the exact
-/// [`run_bundle`] body: a surrogate answer carries predicted CPU power
-/// and an error bound, not the exact tier's full counter detail, and a
-/// client that pattern-matches on `softwatt-run-v1` never mistakes one
-/// for the other.
-pub fn surrogate_estimate(key: RunKey, est: &SurrogateEstimate) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"schema\": \"softwatt-surrogate-v1\", \"key\": ");
-    out.push_str(&run_key(key));
-    out.push_str(", \"fidelity\": \"surrogate\", \"cycles\": ");
-    write!(out, "{}", est.cycles).expect("write to string");
-    out.push_str(", \"duration_s\": ");
-    push_f64(&mut out, est.duration_s);
-    out.push_str(", \"groups\": {");
-    for (i, (g, j)) in est.groups.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_key(&mut out, g.label());
-        push_f64(&mut out, j);
-    }
-    out.push_str("}, \"total_energy_j\": ");
-    push_f64(&mut out, est.total_energy_j);
-    out.push_str(", \"avg_power_w\": ");
-    push_f64(&mut out, est.avg_power_w);
-    out.push_str(", \"disk_energy_j\": ");
-    push_f64(&mut out, est.disk_energy_j);
-    out.push_str(", \"error_bound_pct\": ");
-    push_f64(&mut out, est.error_bound_pct);
-    out.push('}');
     out
 }
 

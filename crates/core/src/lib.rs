@@ -38,15 +38,13 @@ pub mod budget;
 pub mod config;
 pub mod experiments;
 pub mod json;
-pub mod model_store;
 pub mod report;
 pub mod sim;
 pub mod store;
 
 pub use budget::{system_budget, SystemBudget};
 pub use config::{CpuModel, IdleHandling, SystemConfig};
-pub use experiments::{ExperimentSuite, Fidelity, RunKey, RunOutcome, WorkloadKey};
-pub use model_store::{ModelKey, ModelStore};
+pub use experiments::{ExperimentSuite, RunKey, WorkloadKey};
 pub use sim::{RunResult, Simulator};
 pub use store::{PeerSource, TraceKey, TraceStore};
 

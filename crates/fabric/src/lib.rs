@@ -1,36 +1,25 @@
-//! # softwatt-fabric — the distributed trace fabric
+//! # softwatt-fabric — the peer trace cache
 //!
-//! Clusters of `softwatt-serve` processes share one logical trace cache
-//! and one logical grid computation, with no shared filesystem and no
-//! external services — `std::net`, the workspace's own epoll bindings,
-//! and the `swtrace-v1`/`swfabric-v1` codecs are the whole stack.
+//! Clusters of `softwatt-serve` processes share one logical trace cache,
+//! with no shared filesystem and no external services — `std::net` and
+//! the `swtrace-v1` codec are the whole stack.
 //!
-//! Two independent capabilities:
+//! Every node derives the same consistent-hash [`ring::Ring`] from the
+//! membership list, so a trace key has one *owner* the whole cluster
+//! agrees on. A local store miss fetches the owner's `swtrace-v1` bytes
+//! over its ordinary HTTP port ([`peer`]) before falling back to
+//! simulation; the owner captures on miss, so N simultaneous
+//! cluster-wide misses cost one simulation. Every byte is checksum- and
+//! descriptor-verified on arrival, and every failure mode (dead peer,
+//! mid-stream disconnect, corrupt bytes) degrades to local simulation —
+//! the fabric can make a cluster faster, never incorrect. A cold grid is
+//! spread across the cluster by sending `/v1/batch` to the peered
+//! servers: each node captures only the traces it owns.
 //!
-//! - **Peer cache fabric** ([`peer`], [`ring`]): every node derives the
-//!   same consistent-hash [`ring::Ring`] from the membership list, so a
-//!   trace key has one *owner* the whole cluster agrees on. A local
-//!   store miss fetches the owner's `swtrace-v1` bytes over its
-//!   ordinary HTTP port before falling back to simulation; the owner
-//!   captures on miss, so N simultaneous cluster-wide misses cost one
-//!   simulation. Every byte is checksum- and descriptor-verified on
-//!   arrival, and every failure mode (dead peer, mid-stream disconnect,
-//!   corrupt bytes) degrades to local simulation — the fabric can make
-//!   a cluster faster, never incorrect.
-//! - **Grid distribution** ([`grid`], [`wire`]): a coordinator farms
-//!   grid cells to workers over the `swfabric-v1` framed protocol, with
-//!   bounded outstanding work per worker and leases that survive worker
-//!   death by reassignment. Results are returned in deterministic cell
-//!   order, byte-stable across cluster shapes.
-//!
-//! See `DESIGN.md` §14 for the protocol tables and failure matrix.
+//! See `DESIGN.md` §14 for the ring and the failure matrix.
 
-pub mod grid;
 pub mod peer;
 pub mod ring;
-pub mod wire;
 
-pub use grid::{coordinate, work, Cell, CoordinateOpts};
 pub use peer::{PeerClient, DEFAULT_FETCH_TIMEOUT};
 pub use ring::Ring;
-pub use wire::{Frame, MAX_FRAME_BYTES, SWFABRIC_MAGIC};

@@ -1,6 +1,7 @@
 //! Two peered servers over real TCP: cluster-wide single-flight on a
-//! cold grid, the `X-Softwatt-Source` surface, and degradation when the
-//! fabric is broken (dead owner) — clients must never see an error.
+//! cold grid, answers byte-identical to a single node's, the
+//! `X-Softwatt-Source` surface, and degradation when the fabric is
+//! broken (dead owner) — clients must never see an error.
 //!
 //! Ports are reserved by binding `:0` first and rebinding the freed
 //! port, because ring membership must be known *before* the suites are
@@ -11,7 +12,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use softwatt::{ExperimentSuite, SystemConfig, TraceStore};
+use softwatt::experiments::{DiskSetup, RunKey};
+use softwatt::{Benchmark, CpuModel, ExperimentSuite, SystemConfig, TraceStore};
 use softwatt_fabric::{PeerClient, DEFAULT_FETCH_TIMEOUT};
 use softwatt_serve::client::Client;
 use softwatt_serve::{ServeConfig, Server, ShutdownHandle};
@@ -25,6 +27,13 @@ fn reserve_port() -> u16 {
         .local_addr()
         .expect("addr")
         .port()
+}
+
+fn fast_config() -> SystemConfig {
+    SystemConfig {
+        time_scale: FAST_SCALE,
+        ..SystemConfig::default()
+    }
 }
 
 fn temp_store(name: &str) -> TraceStore {
@@ -51,13 +60,10 @@ impl Node {
             .collect();
         let fabric = PeerClient::new(format!("127.0.0.1:{self_port}"), &peers, FETCH_TIMEOUT);
         let suite = Arc::new(
-            ExperimentSuite::new(SystemConfig {
-                time_scale: FAST_SCALE,
-                ..SystemConfig::default()
-            })
-            .expect("valid config")
-            .with_trace_store(temp_store(name))
-            .with_peer_source(Arc::new(fabric)),
+            ExperimentSuite::new(fast_config())
+                .expect("valid config")
+                .with_trace_store(temp_store(name))
+                .with_peer_source(Arc::new(fabric)),
         );
         let server = Server::bind(
             format!("127.0.0.1:{self_port}"),
@@ -153,6 +159,50 @@ fn cold_grid_is_single_flight_across_the_cluster() {
         a.suite.runs_executed() + b.suite.runs_executed(),
         BENCHMARKS.len(),
         "siblings replay, never re-simulate"
+    );
+
+    a.stop();
+    b.stop();
+}
+
+#[test]
+fn results_are_byte_stable_across_cluster_shapes() {
+    // A mixed grid: two disks on one trace pair, a second benchmark and
+    // the other CPU model — three distinct trace pairs in all.
+    let grid = [
+        (Benchmark::Jess, CpuModel::Mxs, DiskSetup::Conventional),
+        (Benchmark::Jess, CpuModel::Mxs, DiskSetup::Standby2s),
+        (Benchmark::Db, CpuModel::Mxs, DiskSetup::Conventional),
+        (Benchmark::Jess, CpuModel::Mipsy, DiskSetup::Conventional),
+    ];
+    let single = ExperimentSuite::new(fast_config()).expect("valid config");
+    let (port_a, port_b) = (reserve_port(), reserve_port());
+    let a = Node::start("shape-a", port_a, &[port_b]);
+    let b = Node::start("shape-b", port_b, &[port_a]);
+    let mut ca = a.client();
+    let mut cb = b.client();
+
+    for (bench, cpu, disk) in grid {
+        let key = RunKey::canned(bench, cpu, disk);
+        let expected = softwatt::json::run_bundle(key, &single.run_key(key));
+        assert!(expected.contains("softwatt-run-v1"), "{key:?}: run bundle");
+        assert!(expected.contains(bench.name()), "{key:?}: right workload");
+        let body = format!(
+            r#"{{"benchmark": "{}", "cpu": "{}", "disk": "{}"}}"#,
+            bench.name(),
+            cpu.name(),
+            disk.name()
+        );
+        for client in [&mut ca, &mut cb] {
+            let resp = client.request("POST", "/v1/run", &body).expect("run");
+            assert_eq!(resp.status, 200, "{key:?}: {}", resp.body);
+            assert_eq!(resp.body, expected, "{key:?}: differs from a single node");
+        }
+    }
+    assert_eq!(
+        a.suite.runs_executed() + b.suite.runs_executed(),
+        3,
+        "every trace pair computed exactly once cluster-wide"
     );
 
     a.stop();

@@ -90,9 +90,7 @@ impl ClockModel {
     }
 
     /// Raw per-domain event sums — the numerators of [`ClockModel::activity`].
-    /// Shared with the counter surrogate (`crate::surrogate`), whose gating
-    /// features are these sums clamped to the window's cycle count.
-    pub fn domain_event_sums(events: &CounterSet) -> [u64; ClockDomain::COUNT] {
+    fn domain_event_sums(events: &CounterSet) -> [u64; ClockDomain::COUNT] {
         [
             events.get(UnitEvent::FetchCycle) + events.get(UnitEvent::DecodeOp),
             events.get(UnitEvent::IcacheAccess),

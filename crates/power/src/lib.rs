@@ -48,7 +48,6 @@ pub mod datapath;
 pub mod group;
 pub mod model;
 pub mod post;
-pub mod surrogate;
 pub mod tech;
 pub mod units;
 
@@ -57,5 +56,4 @@ pub use datapath::{DatapathBreakdown, DatapathComponent};
 pub use group::{GroupPower, UnitGroup};
 pub use model::{ClockGating, PowerModel, PowerParams};
 pub use post::{ModePowerTable, PowerProfile, ProfilePoint};
-pub use surrogate::{SurrogateEstimate, SurrogateModel, SurrogateTrainer};
 pub use tech::TechParams;

@@ -94,7 +94,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Fails on timeouts, early EOF, or an unparsable status line.
+    /// Fails on timeouts, early EOF (including a body shorter than its
+    /// `Content-Length`), or an unparsable status line.
     pub fn read_response_bytes(&mut self) -> io::Result<RawResponse> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut line = String::new();
@@ -127,13 +128,21 @@ impl Client {
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
 
-        let len: usize = headers
+        let len: u64 = headers
             .iter()
             .find(|(n, _)| n == "content-length")
             .and_then(|(_, v)| v.parse().ok())
             .ok_or_else(|| bad("missing content-length"))?;
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body)?;
+        // The length comes from the other side: grow the buffer with the
+        // bytes that actually arrive instead of allocating it up front.
+        let mut body = Vec::new();
+        (&mut self.reader).take(len).read_to_end(&mut body)?;
+        if body.len() as u64 != len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "body shorter than its content-length",
+            ));
+        }
         Ok(RawResponse {
             status,
             headers,
@@ -181,5 +190,35 @@ impl Client {
     ) -> io::Result<RawResponse> {
         self.send_request(method, path, body)?;
         self.read_response_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn huge_content_length_with_a_short_body_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            let mut byte = [0u8; 1];
+            while !request.ends_with(b"\r\n\r\n") {
+                stream.read_exact(&mut byte).unwrap();
+                request.push(byte[0]);
+            }
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nabc")
+                .unwrap();
+        });
+        let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+        let err = client
+            .request_bytes("GET", "/v1/traces/0011223344556677", "")
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        server.join().unwrap();
     }
 }

@@ -196,9 +196,6 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
 /// backpressure path sets on `503`s, and the admission lane that served
 /// it (surfaced as `X-Softwatt-Lane` so clients — and `loadgen`'s
 /// per-class tallies — can tell a warm hit from a cold simulation).
-/// Surrogate answers additionally carry an `X-Softwatt-Fidelity` label
-/// and their model's measured `X-Softwatt-Error-Bound-Pct`; exact
-/// answers leave both unset, so their wire bytes are unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// HTTP status code.
@@ -213,10 +210,6 @@ pub struct Response {
     pub retry_after: Option<u32>,
     /// Lane label for the `X-Softwatt-Lane` header, if any.
     pub lane: Option<&'static str>,
-    /// Fidelity label for the `X-Softwatt-Fidelity` header, if any.
-    pub fidelity: Option<&'static str>,
-    /// Error bound (percent) for `X-Softwatt-Error-Bound-Pct`, if any.
-    pub error_bound_pct: Option<f64>,
     /// Where the answer's trace came from (`local` | `peer` | `sim`),
     /// surfaced as `X-Softwatt-Source` so cluster tests can audit the
     /// fabric without scraping metrics.
@@ -232,8 +225,6 @@ impl Response {
             binary: None,
             retry_after: None,
             lane: None,
-            fidelity: None,
-            error_bound_pct: None,
             source: None,
         }
     }
@@ -266,19 +257,6 @@ impl Response {
     #[must_use]
     pub fn with_lane(mut self, lane: &'static str) -> Response {
         self.lane = Some(lane);
-        self
-    }
-
-    /// Tags the response with its fidelity tier and (for surrogate
-    /// answers) the model's measured error bound.
-    #[must_use]
-    pub fn with_fidelity(
-        mut self,
-        fidelity: &'static str,
-        error_bound_pct: Option<f64>,
-    ) -> Response {
-        self.fidelity = Some(fidelity);
-        self.error_bound_pct = error_bound_pct;
         self
     }
 
@@ -341,12 +319,6 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> io::
     }
     if let Some(lane) = resp.lane {
         write!(w, "X-Softwatt-Lane: {lane}\r\n")?;
-    }
-    if let Some(fidelity) = resp.fidelity {
-        write!(w, "X-Softwatt-Fidelity: {fidelity}\r\n")?;
-    }
-    if let Some(bound) = resp.error_bound_pct {
-        write!(w, "X-Softwatt-Error-Bound-Pct: {bound:?}\r\n")?;
     }
     if let Some(source) = resp.source {
         write!(w, "X-Softwatt-Source: {source}\r\n")?;
@@ -512,31 +484,5 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(!text.contains("X-Softwatt-Source"));
         assert!(text.contains("Content-Type: application/json\r\n"));
-    }
-
-    #[test]
-    fn fidelity_headers_only_appear_when_set() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
-            &Response::json(200, "{}").with_lane("inline"),
-            false,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(
-            !text.contains("X-Softwatt-Fidelity"),
-            "exact responses must stay byte-identical: {text}"
-        );
-
-        let mut out = Vec::new();
-        let resp = Response::json(200, "{}")
-            .with_lane("surrogate")
-            .with_fidelity("surrogate", Some(2.5));
-        write_response(&mut out, &resp, false).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("X-Softwatt-Lane: surrogate\r\n"));
-        assert!(text.contains("X-Softwatt-Fidelity: surrogate\r\n"));
-        assert!(text.contains("X-Softwatt-Error-Bound-Pct: 2.5\r\n"));
     }
 }

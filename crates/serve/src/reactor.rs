@@ -339,13 +339,11 @@ impl Reactor {
                     let us = started.elapsed().as_micros() as u64;
                     softwatt_obs::observe(route.latency(), us);
                     softwatt_obs::count(status_counter(resp.status), 1);
-                    // Both reactor-thread lanes tally here; the pooled
-                    // lanes tally in `deliver`.
-                    for lane in [Lane::Inline, Lane::Surrogate] {
-                        if resp.lane == Some(lane.label()) {
-                            softwatt_obs::count(lane.served(), 1);
-                            softwatt_obs::observe(lane.latency(), us);
-                        }
+                    // The inline lane tallies here; the pooled lanes
+                    // tally in `deliver`.
+                    if resp.lane == Some(Lane::Inline.label()) {
+                        softwatt_obs::count(Lane::Inline.served(), 1);
+                        softwatt_obs::observe(Lane::Inline.latency(), us);
                     }
                     let conn = self.conns.get_mut(&token).expect("conn exists");
                     conn.push_response(&resp, close);
@@ -427,11 +425,6 @@ impl Reactor {
         let submitted = pool.try_submit(Box::new(move || {
             let resp = routes::run_response(&ctx, key, lane);
             completions.push(Done::Keyed { key, resp });
-            if lane == Lane::Cold {
-                // A fresh full simulation just landed: fold it into the
-                // surrogate, after the response is already on its way.
-                routes::maybe_refit_surrogate(&ctx);
-            }
         }));
         match submitted {
             Ok(()) => {
@@ -471,16 +464,10 @@ impl Reactor {
                 _ => &self.replay,
             }
         };
-        let ctx = Arc::clone(&self.ctx);
         let completions = Arc::clone(&self.completions);
         let submitted = pool.try_submit(Box::new(move || {
             let resp = work();
             completions.push(Done::Direct { token, resp });
-            if lane == Lane::Cold {
-                // Cold batches/figures/full-tier runs also add training
-                // data; fold them in once the response is queued.
-                routes::maybe_refit_surrogate(&ctx);
-            }
         }));
         match submitted {
             Ok(()) => self.pending_jobs += 1,

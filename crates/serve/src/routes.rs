@@ -4,10 +4,6 @@
 //! what the suite's three-tier lookup (memo → trace store → full sim)
 //! already knows about its cost:
 //!
-//! - **surrogate** — the request opted into `fidelity=surrogate` and the
-//!   calibrated counter model covers its cell: a handful of dot products,
-//!   rendered on the reactor thread like a memo hit. The cheapest class;
-//!   an uncovered cell falls through to the exact classification below.
 //! - **inline** — the answer is already memoized (or is trivially cheap:
 //!   `/healthz`, `/metrics`, `/admin/shutdown`, parse errors). Rendered
 //!   on the reactor thread in microseconds; no queue, no worker.
@@ -27,7 +23,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 use softwatt::experiments::{DiskSetup, RunKey, WorkloadKey};
-use softwatt::{Benchmark, CpuModel, ExperimentSuite, Fidelity, RunOutcome};
+use softwatt::{Benchmark, CpuModel, ExperimentSuite};
 
 use crate::http::{Request, Response};
 use crate::json::{self, Value};
@@ -38,8 +34,6 @@ pub const RETRY_AFTER_S: u32 = 1;
 /// The admission lane a request is classified into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Surrogate estimate, answered on the reactor thread.
-    Surrogate,
     /// Answered on the reactor thread (memo hit or trivial route).
     Inline,
     /// Trace replay on the replay worker pool.
@@ -52,7 +46,6 @@ impl Lane {
     /// The label used in metrics and the `X-Softwatt-Lane` header.
     pub fn label(self) -> &'static str {
         match self {
-            Lane::Surrogate => "surrogate",
             Lane::Inline => "inline",
             Lane::Replay => "replay",
             Lane::Cold => "cold",
@@ -62,7 +55,6 @@ impl Lane {
     /// Counter: requests served on this lane.
     pub fn served(self) -> &'static str {
         match self {
-            Lane::Surrogate => "serve.lane.surrogate.served",
             Lane::Inline => "serve.lane.inline.served",
             Lane::Replay => "serve.lane.replay.served",
             Lane::Cold => "serve.lane.cold.served",
@@ -72,7 +64,6 @@ impl Lane {
     /// Histogram: admission-to-response latency (µs) on this lane.
     pub fn latency(self) -> &'static str {
         match self {
-            Lane::Surrogate => "serve.lane.surrogate.latency_us",
             Lane::Inline => "serve.lane.inline.latency_us",
             Lane::Replay => "serve.lane.replay.latency_us",
             Lane::Cold => "serve.lane.cold.latency_us",
@@ -163,11 +154,6 @@ pub struct Ctx {
     pub suite: Arc<ExperimentSuite>,
     /// Set by `/admin/shutdown` (and signals); the reactor polls it.
     pub shutdown: Arc<AtomicBool>,
-    /// Debounces background surrogate refits: set when a cold simulation
-    /// lands while a model is installed, cleared when the refit job runs.
-    /// At most one refit is queued at a time, however many cold runs
-    /// complete while it waits.
-    pub refit_pending: AtomicBool,
     /// Rendered `/v1/run` bodies by key. Bundles are immutable once
     /// memoized, so the rendered JSON never invalidates — and a warm hit
     /// on the reactor thread becomes a lock + memcpy instead of
@@ -187,7 +173,6 @@ impl Ctx {
         Ctx {
             suite,
             shutdown,
-            refit_pending: AtomicBool::new(false),
             rendered: Mutex::new(HashMap::new()),
             figures: Arc::new(Mutex::new(HashMap::new())),
         }
@@ -245,30 +230,6 @@ pub fn run_response(ctx: &Ctx, key: RunKey, lane: Lane) -> Response {
     }
 }
 
-/// Background calibration: a cold-pool worker calls this after its full
-/// simulation's response is queued, folding the fresh run into the
-/// surrogate model. A no-op unless a model is already installed (the
-/// `--surrogate` boot opt-in), and debounced through
-/// [`Ctx::refit_pending`] so a burst of cold completions triggers one
-/// refit, not a pile-up — the refit reads *everything* memoized at the
-/// moment it runs, so skipped triggers lose nothing that had landed by
-/// then.
-pub(crate) fn maybe_refit_surrogate(ctx: &Ctx) {
-    if ctx.suite.surrogate_model().is_none() {
-        return;
-    }
-    if ctx
-        .refit_pending
-        .swap(true, std::sync::atomic::Ordering::AcqRel)
-    {
-        return;
-    }
-    softwatt_obs::count("serve.surrogate.refits", 1);
-    ctx.suite.refit_surrogate();
-    ctx.refit_pending
-        .store(false, std::sync::atomic::Ordering::Release);
-}
-
 /// Whether every (workload, CPU) pair in `keys` already has a trace —
 /// i.e. the whole set derives by replay without one full simulation.
 fn all_traces_ready(suite: &ExperimentSuite, keys: &[RunKey]) -> bool {
@@ -298,29 +259,10 @@ pub fn dispatch(ctx: &Ctx, route: Route, req: &Request) -> Outcome {
             Outcome::Ready(Response::json(200, "{\"status\": \"shutting down\"}"))
         }
         Route::Run => match parse_run_query(&ctx.suite, &req.body) {
-            Ok((key, fidelity)) => {
-                // Surrogate tier: a covered cell is a handful of dot
-                // products, rendered right here on the reactor thread.
-                // The body is rendered fresh each time (never cached in
-                // `rendered`): a background refit can replace the model,
-                // and a cached estimate would pin the stale fit.
-                if fidelity == Fidelity::Surrogate {
-                    if let Some(est) = ctx.suite.surrogate_estimate(key) {
-                        return Outcome::Ready(
-                            Response::json(200, softwatt::json::surrogate_estimate(key, &est))
-                                .with_lane(Lane::Surrogate.label())
-                                .with_fidelity(fidelity.name(), Some(est.error_bound_pct)),
-                        );
-                    }
-                    // No calibrated model, or a cell outside it: fall
-                    // through to the exact classification below. The
-                    // answer outranks the requested tier.
-                }
+            Ok(key) => {
                 // Warm hit: the bundle is memoized, render it right here
                 // on the reactor thread — no queue, no worker, no lock
                 // beyond the memo peek and the render-cache lookup.
-                // Correct at every fidelity: replay is bit-identical to
-                // full simulation, so the memo satisfies `full` too.
                 if let Some(bundle) = ctx.suite.bundle_if_ready(key) {
                     let resp = Response::json(200, ctx.run_body(key, &bundle).as_str())
                         .with_lane(Lane::Inline.label());
@@ -329,28 +271,6 @@ pub fn dispatch(ctx: &Ctx, route: Route, req: &Request) -> Outcome {
                         None => resp,
                     };
                     return Outcome::Ready(resp);
-                }
-                // An explicit `full` bypasses trace replay: the miss
-                // always runs a fresh simulation on the cold pool. No
-                // dedup with replay-tier jobs for the same key — the
-                // client asked for the expensive path specifically.
-                if fidelity == Fidelity::Full {
-                    let suite = Arc::clone(&ctx.suite);
-                    return Outcome::Work {
-                        lane: Lane::Cold,
-                        work: Box::new(move || match suite.run_at(key, Fidelity::Full) {
-                            RunOutcome::Exact(bundle) => {
-                                Response::json(200, softwatt::json::run_bundle(key, &bundle))
-                                    .with_lane(Lane::Cold.label())
-                                    .with_fidelity(Fidelity::Full.name(), None)
-                            }
-                            RunOutcome::Estimate(_) => Response::error(
-                                500,
-                                "internal",
-                                "full fidelity returned an estimate",
-                            ),
-                        }),
-                    };
                 }
                 let lane = if ctx.suite.trace_ready(key.workload, key.cpu) {
                     Lane::Replay
@@ -614,30 +534,10 @@ fn parse_body(body: &[u8]) -> Result<Value, Box<Response>> {
     json::parse(body).map_err(|e| bad_request("bad_json", &e))
 }
 
-/// Parses a `/v1/run` body: the run key plus the optional `"fidelity"`
-/// tier (`surrogate` | `replay` | `full`; defaults to `replay`, the
-/// exact three-tier lookup every pre-fidelity client gets). Batch
-/// queries go through [`key_from_value`] directly and deliberately
-/// ignore any `fidelity` field: a batch is a prewarm of the exact tiers.
-fn parse_run_query(
-    suite: &ExperimentSuite,
-    body: &[u8],
-) -> Result<(RunKey, Fidelity), Box<Response>> {
-    let doc = parse_body(body)?;
-    let key = key_from_value(suite, &doc)?;
-    let fidelity = match doc.get("fidelity") {
-        None => Fidelity::default(),
-        Some(v) => match v.as_str() {
-            Some(name) => Fidelity::from_name(name).ok_or_else(|| {
-                bad_request(
-                    "unknown_fidelity",
-                    &format!("no fidelity '{name}' (expected surrogate, replay, or full)"),
-                )
-            })?,
-            None => return Err(bad_request("bad_query", "'fidelity' must be a string")),
-        },
-    };
-    Ok((key, fidelity))
+/// Parses a `/v1/run` body into its run key. Unknown top-level fields
+/// are ignored.
+fn parse_run_query(suite: &ExperimentSuite, body: &[u8]) -> Result<RunKey, Box<Response>> {
+    key_from_value(suite, &parse_body(body)?)
 }
 
 /// Parses a batch body: `{"queries": [query...], "jobs"?: N}`. Returns the
@@ -691,11 +591,10 @@ fn render_batch(suite: &ExperimentSuite, keys: &[RunKey]) -> String {
     }
     out.push_str(&format!(
         "], \"unique_keys\": {}, \"runs_executed\": {}, \"replays_derived\": {}, \
-         \"surrogate_served\": {}, \"store_loads\": {}}}",
+         \"store_loads\": {}}}",
         unique.len(),
         suite.runs_executed(),
         suite.replays_derived(),
-        suite.surrogate_served(),
         suite.store_loads()
     ));
     out
@@ -790,13 +689,12 @@ mod tests {
     #[test]
     fn run_key_parsing_defaults_and_errors() {
         let suite = parse_suite();
-        let (key, fidelity) = parse_run_query(&suite, br#"{"benchmark": "jess"}"#).unwrap();
+        let key = parse_run_query(&suite, br#"{"benchmark": "jess"}"#).unwrap();
         assert_eq!(key.workload, WorkloadKey::Canned(Benchmark::Jess));
         assert_eq!(key.cpu, CpuModel::Mxs);
         assert_eq!(key.disk, DiskSetup::Conventional);
-        assert_eq!(fidelity, Fidelity::Replay, "replay is the default tier");
 
-        let (key, _) = parse_run_query(
+        let key = parse_run_query(
             &suite,
             br#"{"benchmark": "db", "cpu": "mipsy", "disk": "sleep"}"#,
         )
@@ -805,24 +703,6 @@ mod tests {
         assert_eq!(key.cpu, CpuModel::Mipsy);
         assert_eq!(key.disk, DiskSetup::SleepExt);
 
-        for (body, want) in [
-            (
-                &br#"{"benchmark": "jess", "fidelity": "surrogate"}"#[..],
-                Fidelity::Surrogate,
-            ),
-            (
-                br#"{"benchmark": "jess", "fidelity": "replay"}"#,
-                Fidelity::Replay,
-            ),
-            (
-                br#"{"benchmark": "jess", "fidelity": "full"}"#,
-                Fidelity::Full,
-            ),
-        ] {
-            let (_, fidelity) = parse_run_query(&suite, body).unwrap();
-            assert_eq!(fidelity, want);
-        }
-
         for (body, code) in [
             (&br#"not json"#[..], "bad_json"),
             (br#"{}"#, "missing_field"),
@@ -830,11 +710,6 @@ mod tests {
             (br#"{"benchmark": "jess", "cpu": "arm"}"#, "unknown_cpu"),
             (br#"{"benchmark": "jess", "disk": "ssd"}"#, "unknown_disk"),
             (br#"{"benchmark": 7}"#, "bad_query"),
-            (
-                br#"{"benchmark": "jess", "fidelity": "exact"}"#,
-                "unknown_fidelity",
-            ),
-            (br#"{"benchmark": "jess", "fidelity": 3}"#, "bad_query"),
             (br#"{"benchmark": "jess", "workload": "jess"}"#, "bad_query"),
             (br#"{"workload": "spec:zz"}"#, "unknown_workload"),
             (
@@ -857,7 +732,7 @@ mod tests {
         let mut body = String::from(r#"{"disk": "idle", "spec": "#);
         body.push_str(&softwatt::json::benchmark_spec(&spec));
         body.push('}');
-        let (key, _) = parse_run_query(&suite, body.as_bytes()).unwrap();
+        let key = parse_run_query(&suite, body.as_bytes()).unwrap();
         let expect = WorkloadKey::Spec(spec.content_hash());
         assert_eq!(key.workload, expect, "inline spec keys by content hash");
         assert_eq!(key.disk, DiskSetup::IdleOnly);
@@ -869,7 +744,7 @@ mod tests {
 
         // Once registered, the hash label addresses it...
         let by_label = format!(r#"{{"workload": "{}"}}"#, key.workload.label());
-        let (key2, _) = parse_run_query(&suite, by_label.as_bytes()).unwrap();
+        let key2 = parse_run_query(&suite, by_label.as_bytes()).unwrap();
         assert_eq!(key2.workload, expect);
 
         // ...and an invalid spec is rejected with the validator's message.
@@ -962,87 +837,44 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_fidelity_serves_covered_cells_and_falls_through_otherwise() {
-        let suite = Arc::new(
-            ExperimentSuite::new(SystemConfig {
-                time_scale: 500_000.0,
-                ..SystemConfig::default()
-            })
-            .unwrap(),
-        );
-        let ctx = Ctx::new(Arc::clone(&suite), Arc::new(AtomicBool::new(false)));
-        let req = |body: &str| Request {
+    fn legacy_fidelity_field_is_ignored() {
+        let req = |body: String| Request {
             method: "POST".into(),
             target: "/v1/run".into(),
             http11: true,
             headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
+            body: body.into_bytes(),
         };
-        let surrogate_q = r#"{"benchmark": "jess", "fidelity": "surrogate"}"#;
-
-        // No model installed yet: the surrogate tier falls through to the
-        // exact classification (cold — nothing is computed).
-        assert!(matches!(
-            dispatch(&ctx, Route::Run, &req(surrogate_q)),
-            Outcome::Shared {
-                lane: Lane::Cold,
-                ..
+        // Classifies both queries before either is computed, then answers
+        // both: (status, lane, body) per query.
+        let answer_pair = |ctx: &Ctx, fields: &str, fidelity: &str| {
+            let outcomes = [
+                format!("{{{fields}}}"),
+                format!("{{{fields}, \"fidelity\": {fidelity}}}"),
+            ]
+            .map(|body| dispatch(ctx, Route::Run, &req(body)));
+            outcomes.map(|outcome| {
+                let resp = match outcome {
+                    Outcome::Ready(resp) => resp,
+                    Outcome::Shared { lane, key } => run_response(ctx, key, lane),
+                    Outcome::Work { .. } => panic!("a /v1/run query is never keyless work"),
+                };
+                (resp.status, resp.lane, resp.body)
+            })
+        };
+        for fidelity in [r#""surrogate""#, r#""replay""#, r#""full""#, "3"] {
+            let ctx = Ctx::new(Arc::new(parse_suite()), Arc::new(AtomicBool::new(false)));
+            // Cold, then a replay of the captured trace, then a memo hit.
+            for (fields, lane) in [
+                (r#""benchmark": "jess""#, "cold"),
+                (r#""benchmark": "jess", "disk": "idle""#, "replay"),
+                (r#""benchmark": "jess""#, "inline"),
+            ] {
+                let [plain, legacy] = answer_pair(&ctx, fields, fidelity);
+                assert_eq!(plain.0, 200, "{fields}");
+                assert_eq!(plain.1, Some(lane), "{fields}");
+                assert_eq!(legacy, plain, "fidelity {fidelity} on {fields}");
             }
-        ));
-
-        // Train on the one memoized run and ask again: covered cell,
-        // served on the surrogate lane with the fidelity headers set.
-        let key = RunKey::canned(Benchmark::Jess, CpuModel::Mxs, DiskSetup::Conventional);
-        suite.run_key(key);
-        suite.refit_surrogate().expect("one run is enough to fit");
-        match dispatch(&ctx, Route::Run, &req(surrogate_q)) {
-            Outcome::Ready(resp) => {
-                assert_eq!(resp.status, 200);
-                assert_eq!(resp.lane, Some("surrogate"));
-                assert_eq!(resp.fidelity, Some("surrogate"));
-                assert!(resp.error_bound_pct.is_some());
-                assert!(resp.body.contains("softwatt-surrogate-v1"), "{}", resp.body);
-            }
-            _ => panic!("covered surrogate cell must be served inline"),
-        }
-
-        // A cell the model has not been calibrated on falls through to
-        // exact — here a replay (the trace exists).
-        assert!(matches!(
-            dispatch(
-                &ctx,
-                Route::Run,
-                &req(r#"{"benchmark": "jess", "disk": "idle", "fidelity": "surrogate"}"#),
-            ),
-            Outcome::Shared {
-                lane: Lane::Replay,
-                ..
-            }
-        ));
-
-        // An explicit `full` on a memo miss routes to the cold pool even
-        // though the trace would allow a replay...
-        assert!(matches!(
-            dispatch(
-                &ctx,
-                Route::Run,
-                &req(r#"{"benchmark": "jess", "disk": "idle", "fidelity": "full"}"#),
-            ),
-            Outcome::Work {
-                lane: Lane::Cold,
-                ..
-            }
-        ));
-
-        // ...but a memoized key is inline at any fidelity (replay and
-        // full answers are bit-identical, so the memo satisfies both).
-        match dispatch(
-            &ctx,
-            Route::Run,
-            &req(r#"{"benchmark": "jess", "fidelity": "full"}"#),
-        ) {
-            Outcome::Ready(resp) => assert_eq!(resp.lane, Some("inline")),
-            _ => panic!("memoized key must be inline at full fidelity"),
         }
     }
 }

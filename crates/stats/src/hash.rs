@@ -3,8 +3,8 @@
 //! The standard library's hashers are randomly keyed per process, which
 //! would defeat any content-addressed on-disk cache. FNV-1a 64 is the one
 //! hash this workspace uses for file names and trailing checksums: the
-//! trace store's keys (`softwatt::TraceKey`), the surrogate model store's
-//! keys, and the `swtrace-v1` / `swmodel-v1` codec checksums all go
+//! trace store's keys (`softwatt::TraceKey`), spec content hashes, the
+//! peer ring's points, and the `swtrace-v1` codec checksum all go
 //! through this function, so the formats agree byte-for-byte across
 //! processes and platforms.
 

@@ -1,17 +1,14 @@
 //! LEB128 varints and zigzag signed encoding.
 //!
-//! The shared integer codec under both binary wire formats in the
-//! workspace: `swtrace-v1` trace entries (`swtrace`) and the
-//! `swfabric-v1` peer/coordinator frames (`softwatt-fabric`). One
-//! implementation, property-tested once, so the two formats can never
-//! drift on how a length or a delta is spelled.
+//! The integer codec under the workspace's binary trace format,
+//! `swtrace-v1` (`swtrace`): counts, lengths and timestamp deltas.
 //!
 //! Encoding is little-endian base-128: seven payload bits per byte, high
 //! bit set on every byte but the last. Signed values zigzag first
 //! (`0, -1, 1, -2, ...` → `0, 1, 2, 3, ...`) so small magnitudes of
 //! either sign stay short.
 
-use std::io::{self, Read};
+use std::io;
 
 /// Appends `v` as a LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -31,20 +28,6 @@ pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
-/// Folds a decoded varint byte into the accumulator; shared by the slice
-/// and stream decoders so overflow policing is identical.
-fn fold(v: &mut u64, shift: &mut u32, byte: u8) -> io::Result<bool> {
-    if *shift >= 64 || (*shift == 63 && byte > 1) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "varint overflows u64",
-        ));
-    }
-    *v |= u64::from(byte & 0x7f) << *shift;
-    *shift += 7;
-    Ok(byte & 0x80 == 0)
-}
-
 /// Decodes one varint from the front of `buf`.
 ///
 /// Returns the value and how many bytes it consumed, `Ok(None)` when the
@@ -57,29 +40,19 @@ pub fn decode(buf: &[u8]) -> io::Result<Option<(u64, usize)>> {
     let mut v = 0u64;
     let mut shift = 0u32;
     for (i, &byte) in buf.iter().enumerate() {
-        if fold(&mut v, &mut shift, byte)? {
+        if shift >= 64 || (shift == 63 && byte > 1) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "varint overflows u64",
+            ));
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        shift += 7;
+        if byte & 0x80 == 0 {
             return Ok(Some((v, i + 1)));
         }
     }
     Ok(None)
-}
-
-/// Reads one varint from a stream, one byte at a time.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on overflow; the reader's own errors
-/// (including [`io::ErrorKind::UnexpectedEof`]) pass through.
-pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        if fold(&mut v, &mut shift, byte[0])? {
-            return Ok(v);
-        }
-    }
 }
 
 /// Undoes the zigzag map.
@@ -110,8 +83,6 @@ mod tests {
             put_varint(&mut buf, v);
             let (got, used) = decode(&buf).unwrap().expect("complete");
             assert_eq!((got, used), (v, buf.len()), "value {v}");
-            let streamed = read_varint(&mut buf.as_slice()).unwrap();
-            assert_eq!(streamed, v);
         }
     }
 
@@ -139,9 +110,5 @@ mod tests {
         // Eleven continuation bytes can never fit in a u64.
         let buf = [0xffu8; 11];
         assert_eq!(decode(&buf).unwrap_err().kind(), io::ErrorKind::InvalidData);
-        assert_eq!(
-            read_varint(&mut buf.as_slice()).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
     }
 }
