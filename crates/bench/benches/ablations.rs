@@ -1,7 +1,8 @@
 //! Ablation benches for the design choices called out in `DESIGN.md` §7:
 //!
 //! - sampling granularity: simulation cost vs. log resolution;
-//! - the paper's §3.3 idle fast-forwarding during disk waits;
+//! - the paper's §3.3 idle acceleration during disk waits: simulating the
+//!   idle loop vs. accounting for every blocked gap analytically;
 //! - the paper's §3.3 claim that kernel energy can be estimated from
 //!   invocation counts times mean per-invocation energy within ~10% —
 //!   reported here as a measured estimation error, benched as the cost of
@@ -35,12 +36,11 @@ fn bench_sample_interval(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_idle_fastforward(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablate_idle_fastforward");
+fn bench_idle_handling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablate_idle_handling");
     group.sample_size(10);
     for (label, idle) in [
         ("simulate_idle", IdleHandling::Simulate),
-        ("fast_forward", IdleHandling::FastForward),
         ("analytic", IdleHandling::Analytic),
     ] {
         group.bench_function(label, |b| {
@@ -116,7 +116,7 @@ fn bench_kernel_estimate(c: &mut Criterion) {
 criterion_group!(
     ablations,
     bench_sample_interval,
-    bench_idle_fastforward,
+    bench_idle_handling,
     bench_kernel_estimate
 );
 criterion_main!(ablations);

@@ -77,6 +77,7 @@ use softwatt::experiments::DiskSetup;
 use softwatt::{Benchmark, CpuModel, ExperimentSuite, SystemConfig};
 use softwatt_bench::parse_count_or_auto;
 use softwatt_serve::client::Client;
+use softwatt_serve::http;
 use softwatt_serve::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use softwatt_serve::{ServeConfig, Server};
 
@@ -565,63 +566,6 @@ fn request_for(conn: usize, i: usize) -> (&'static str, String, String) {
     }
 }
 
-/// A parsed response head (the mux driver's incremental HTTP/1.1 client
-/// side; the blocking [`Client`] keeps its own parser).
-struct RespHead {
-    status: u16,
-    /// Bytes up to and including the blank line.
-    head_len: usize,
-    /// `Content-Length` (0 when absent).
-    body_len: usize,
-    /// `X-Softwatt-Lane` value, when present.
-    lane: Option<String>,
-    /// `X-Softwatt-Source` value, when present (`local|peer|sim`).
-    source: Option<String>,
-    /// `Retry-After` seconds, when present (on `503`s).
-    retry_after: Option<u64>,
-    /// `Connection: close` was sent.
-    close: bool,
-}
-
-/// Parses a response head out of `buf`, or `None` while incomplete.
-fn parse_head(buf: &[u8]) -> Option<RespHead> {
-    let head_len = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-    let head = std::str::from_utf8(&buf[..head_len]).ok()?;
-    let mut lines = head.split("\r\n");
-    let status = lines.next()?.split_whitespace().nth(1)?.parse().ok()?;
-    let mut body_len = 0;
-    let mut lane = None;
-    let mut source = None;
-    let mut retry_after = None;
-    let mut close = false;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            body_len = value.parse().ok()?;
-        } else if name.eq_ignore_ascii_case("x-softwatt-lane") {
-            lane = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("x-softwatt-source") {
-            source = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("retry-after") {
-            retry_after = value.parse().ok();
-        } else if name.eq_ignore_ascii_case("connection") {
-            close = value.eq_ignore_ascii_case("close");
-        }
-    }
-    Some(RespHead {
-        status,
-        head_len,
-        body_len,
-        lane,
-        source,
-        retry_after,
-        close,
-    })
-}
-
 /// Where a multiplexed connection is in the run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -658,16 +602,6 @@ struct MuxConn {
     /// When set, the current index re-sends at this instant (backoff).
     retry_at: Option<Instant>,
     interest: u32,
-}
-
-/// The request `Client` would send, as one preformatted buffer.
-fn format_request(method: &str, path: &str, body: &str) -> Vec<u8> {
-    format!(
-        "{method} {path} HTTP/1.1\r\nHost: loadgen\r\nConnection: keep-alive\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
 }
 
 impl MuxConn {
@@ -722,7 +656,7 @@ impl MuxConn {
     /// and pushes as much of it as the socket takes right now.
     fn issue(&mut self, epoll: &Epoll) {
         let (method, path, body) = request_for(self.id, self.index);
-        self.write_buf = format_request(method, &path, &body);
+        self.write_buf = http::format_request(method, &path, &body);
         self.write_pos = 0;
         self.sent_at = Instant::now();
         self.awaiting = true;
@@ -905,15 +839,20 @@ fn step(
     requests: usize,
     epoll: &Epoll,
 ) {
-    let complete =
-        parse_head(&conn.read_buf).filter(|h| conn.read_buf.len() >= h.head_len + h.body_len);
-    let Some(head) = complete else {
-        if broken {
-            fail_request(conn, tally, warmup, requests, epoll);
+    let head = match http::parse_response_head(&conn.read_buf, &http::Limits::default()) {
+        Ok(Some(head)) if (conn.read_buf.len() - head.head_len) as u64 >= head.content_length => {
+            head
         }
-        return;
+        Ok(_) if !broken => return,
+        // A broken socket under an incomplete response, or a head that can
+        // never parse: the request is lost either way.
+        _ => {
+            fail_request(conn, tally, warmup, requests, epoll);
+            return;
+        }
     };
-    conn.read_buf.drain(..head.head_len + head.body_len);
+    conn.read_buf
+        .drain(..head.head_len + head.content_length as usize);
     conn.awaiting = false;
     let us = conn.sent_at.elapsed().as_micros() as u64;
     match conn.phase {
@@ -924,10 +863,11 @@ fn step(
             // answer, pacing off the server's `Retry-After` hint.
             if head.status == 503 && conn.retries < MAX_RETRIES {
                 let seed = mix64(((conn.id as u64) << 32) ^ conn.index as u64);
-                let delay = backoff_delay(conn.retries, head.retry_after, seed);
+                let retry_after = head.header("retry-after").and_then(|v| v.parse().ok());
+                let delay = backoff_delay(conn.retries, retry_after, seed);
                 conn.retries += 1;
                 conn.retry_at = Some(Instant::now() + delay);
-                if head.close {
+                if head.closes() {
                     if let Some(old) = conn.stream.take() {
                         epoll.delete(old.as_raw_fd());
                     }
@@ -936,7 +876,7 @@ fn step(
                 return;
             }
             tally.latencies_us.push(us);
-            let lane_idx = match head.lane.as_deref() {
+            let lane_idx = match head.header("x-softwatt-lane") {
                 Some("inline") => {
                     tally.inline_us.push(us);
                     Some(0)
@@ -958,7 +898,7 @@ fn step(
                 }
                 conn.retries = 0;
             }
-            match head.source.as_deref() {
+            match head.header("x-softwatt-source") {
                 Some("local") => tally.source_local += 1,
                 Some("peer") => tally.source_peer += 1,
                 Some("sim") => tally.source_sim += 1,
@@ -973,7 +913,7 @@ fn step(
         }
         Phase::Ready | Phase::Done => {}
     }
-    advance(conn, tally, head.close, warmup, requests, epoll);
+    advance(conn, tally, head.closes(), warmup, requests, epoll);
 }
 
 /// Moves `conn` to its next request (or next phase) after a response.

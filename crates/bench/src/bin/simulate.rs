@@ -10,20 +10,21 @@
 //!
 //! `--record` captures the user instruction stream as a binary trace;
 //! `--replay` substitutes a previously recorded trace for the generator
-//! (the benchmark name still supplies the OS-side configuration), enabling
-//! trace-driven machine comparisons.
+//! (the benchmark or spec still supplies the OS-side configuration),
+//! enabling trace-driven machine comparisons.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use softwatt::budget::{system_budget, SystemBudget};
+use softwatt::experiments::{DiskSetup, RunBundle};
 use softwatt::{
-    Benchmark, CpuModel, DiskConfig, DiskPolicy, Mode, PowerModel, RunResult, SimLog, Simulator,
-    SystemConfig,
+    Benchmark, BenchmarkSpec, CpuModel, ExperimentSuite, IdleHandling, Mode, PowerModel, RunKey,
+    RunResult, SimLog, Simulator, SystemConfig, Workload, WorkloadKey,
 };
 use softwatt_bench::ObsFlags;
 
@@ -59,8 +60,9 @@ file instead of a canned benchmark (same validation gate as the HTTP
 surface; see docs/example_spec.json);
 --jobs N simulates a multi-benchmark list on N threads (results print
 in list order either way); --trace-cache DIR (or SOFTWATT_TRACE_CACHE)
-reuses full simulations across processes via the persistent trace store
-and forces analytic idle handling (the mode traces are captured under);
+runs through the server's lookup path (memo, trace store, capture,
+replay), sharing full simulations across processes, and forces analytic
+idle handling (the mode traces are captured under);
 --metrics/--metrics-out/--log-level report observability data on
 stderr / to a JSON file";
 
@@ -89,6 +91,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         time_scale: 4000.0,
         ..SystemConfig::default()
     };
+    let mut disk = DiskSetup::Conventional;
     let mut log_path: Option<String> = None;
     let mut record_path: Option<String> = None;
     let mut replay_path: Option<String> = None;
@@ -105,28 +108,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         };
         match flag.as_str() {
             "--cpu" => {
-                config.cpu = match value()?.as_str() {
-                    "mxs" => CpuModel::Mxs,
-                    "mxs1" => CpuModel::MxsSingleIssue,
-                    "mipsy" => CpuModel::Mipsy,
-                    other => return Err(format!("unknown cpu model {other}\n{USAGE}")),
-                }
+                let name = value()?;
+                config.cpu = CpuModel::from_name(&name)
+                    .ok_or_else(|| format!("unknown cpu model {name}\n{USAGE}"))?;
             }
             "--disk" => {
-                config.disk = DiskConfig {
-                    policy: match value()?.as_str() {
-                        "conv" => DiskPolicy::Conventional,
-                        "idle" => DiskPolicy::IdleWhenNotBusy,
-                        "standby2" => DiskPolicy::Standby { threshold_s: 2.0 },
-                        "standby4" => DiskPolicy::Standby { threshold_s: 4.0 },
-                        "sleep" => DiskPolicy::Sleep {
-                            threshold_s: 2.0,
-                            sleep_after_s: 5.0,
-                        },
-                        other => return Err(format!("unknown disk policy {other}\n{USAGE}")),
-                    },
-                    ..config.disk
-                }
+                let name = value()?;
+                disk = DiskSetup::from_name(&name)
+                    .ok_or_else(|| format!("unknown disk policy {name}\n{USAGE}"))?;
             }
             "--scale" => {
                 config.time_scale = value()?
@@ -154,130 +143,143 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
     }
+    config.disk.policy = disk.policy();
     obs.activate();
+    let user_trace = record_path.is_some() || replay_path.is_some();
     let store = softwatt_bench::open_trace_store(trace_cache)?;
     if let Some(store) = &store {
-        if record_path.is_some() || replay_path.is_some() {
+        if user_trace {
             return Err("--trace-cache applies to benchmark runs, not --record/--replay".into());
         }
         // Stored traces are captured under analytic idle handling; forcing
         // it here makes a cold (capturing) and a warm (replaying) run of
         // the same command agree bit for bit.
-        config.idle = softwatt::IdleHandling::Analytic;
+        config.idle = IdleHandling::Analytic;
         eprintln!(
             "trace cache {}: idle handling forced to analytic",
             store.dir().display()
         );
     }
+    // With a store, every run takes the server's own path through the
+    // suite: memo → store → capture → replay.
+    let suite = ExperimentSuite::new(config.clone())?;
+    let suite = match store {
+        Some(store) => suite.with_trace_store(store),
+        None => suite,
+    };
 
-    if let Some(path) = &spec_path {
-        if selection.is_some() {
-            return Err("give a benchmark selection or --spec, not both".into());
+    let workloads: Vec<(String, WorkloadKey)> = match &spec_path {
+        Some(path) => {
+            if selection.is_some() {
+                return Err("give a benchmark selection or --spec, not both".into());
+            }
+            let spec = read_spec(path)?;
+            let name = spec.name.clone();
+            let workload = suite
+                .register_spec(spec)
+                .map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("spec {path} admitted as {workload}");
+            vec![(name, workload)]
         }
-        if record_path.is_some() || replay_path.is_some() {
-            return Err("--record/--replay need a canned benchmark".into());
-        }
-        run_spec_file(path, &config, store.as_ref(), log_path.as_deref())?;
-        return obs.finish();
-    }
+        None => benchmarks
+            .iter()
+            .map(|&b| (b.name().to_string(), WorkloadKey::from(b)))
+            .collect(),
+    };
     // Validate here, at the CLI boundary: downstream aggregation
     // (`SystemBudget::mean_of`) treats an empty selection as a caller
     // error, so it must never get one.
-    let Some(&benchmark) = benchmarks.first() else {
+    if workloads.is_empty() {
         return Err(format!("empty benchmark selection\n{USAGE}"));
-    };
-
-    if benchmarks.len() > 1 {
-        if record_path.is_some() || replay_path.is_some() || log_path.is_some() {
-            return Err("--log/--record/--replay need a single benchmark".into());
-        }
-        run_many(&benchmarks, &config, jobs, store.as_ref())?;
-        return obs.finish();
     }
 
     let sim = Simulator::new(config.clone())?;
+    let bundle = |run: RunResult| {
+        Arc::new(RunBundle {
+            run,
+            model: PowerModel::new(&config.power_params()),
+        })
+    };
+    let run = |workload: WorkloadKey| match suite.trace_store() {
+        Some(_) => suite.run_key(RunKey {
+            workload,
+            cpu: config.cpu,
+            disk,
+        }),
+        None => bundle(sim.run(&suite.spec_for(workload).expect("admitted workload"))),
+    };
+
+    let [(name, workload)] = &workloads[..] else {
+        if user_trace || log_path.is_some() {
+            return Err("--log/--record/--replay need a single benchmark".into());
+        }
+        let workers = jobs.min(workloads.len());
+        eprintln!(
+            "running {} benchmarks on {} (disk {}, scale {}x, {workers} worker(s))...",
+            workloads.len(),
+            config.cpu.label(),
+            config.disk.policy.label(),
+            config.time_scale
+        );
+        // Runs are seeded per-configuration and independent, so results
+        // (printed in list order) are identical whatever `jobs` is.
+        let bundles = parallel_map(&workloads, workers, |&(_, workload)| run(workload));
+        let mut budgets = Vec::with_capacity(bundles.len());
+        for ((name, _), bundle) in workloads.iter().zip(&bundles) {
+            budgets.push(system_budget(&bundle.model, &bundle.run));
+            print_run(name, bundle);
+        }
+        if let Some(mean) = SystemBudget::mean_of(&budgets) {
+            println!(
+                "mean over {} benchmarks: {:.3} W total, disk {:.1}%",
+                budgets.len(),
+                mean.total_w(),
+                mean.disk_pct()
+            );
+        }
+        return obs.finish();
+    };
+
     eprintln!(
-        "running {benchmark} on {} (disk {}, scale {}x, seed {:#x})...",
+        "running {name} on {} (disk {}, scale {}x, seed {:#x})...",
         config.cpu.label(),
         config.disk.policy.label(),
         config.time_scale,
         config.seed
     );
-    // Workload-side OS parameters (file warming, page premap, cacheflush
-    // rate) come from the benchmark regardless of trace mode.
-    let reference = benchmark.workload(config.clocking(), config.seed);
-    let warm = reference.warm_files();
-    let premap = reference.premap_regions();
-    let os_config = softwatt_os::OsConfig {
-        cacheflush_per_kinstr: reference.spec().cacheflush_per_kinstr,
-        seed: config.seed ^ 0x5EED,
-        ..config.os
-    };
-    let run = match (&record_path, &replay_path) {
+    let spec = suite.spec_for(*workload).expect("admitted workload");
+    let result = match (&record_path, &replay_path) {
         (Some(_), Some(_)) => return Err("--record and --replay are exclusive".into()),
         (Some(path), None) => {
             let out = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let recording = softwatt_isa::Recording::new(reference, BufWriter::new(out))
+            let source = Workload::new((*spec).clone(), config.clocking(), config.seed);
+            let recording = softwatt_isa::Recording::new(source, BufWriter::new(out))
                 .map_err(|e| format!("cannot start trace {path}: {e}"))?;
-            let run = sim.run_source(Box::new(recording), &warm, &premap, os_config);
+            let run = sim.run_source(&spec, Box::new(recording));
             eprintln!("recorded user trace to {path}");
-            run
+            bundle(run)
         }
         (None, Some(path)) => {
             let input = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
             let reader = softwatt_isa::TraceReader::new(BufReader::new(input))
                 .map_err(|e| format!("cannot read trace {path}: {e}"))?;
             eprintln!("replaying user trace from {path}");
-            sim.run_source(Box::new(reader), &warm, &premap, os_config)
+            bundle(sim.run_source(&spec, Box::new(reader)))
         }
-        (None, None) => match &store {
-            Some(store) => sim.run_benchmark_stored(benchmark, store),
-            None => sim.run_benchmark(benchmark),
-        },
+        (None, None) => run(*workload),
     };
-
-    print_run(benchmark.name(), &config, &run);
-
+    print_run(name, &result);
     if let Some(path) = log_path {
-        write_log_csv(&run, &path)?;
+        write_log_csv(&result.run, &path)?;
     }
     obs.finish()
 }
 
-/// Loads, validates, and runs a `softwatt-spec-v1` workload file through
-/// the same admission gate the HTTP surface applies to posted specs.
-fn run_spec_file(
-    path: &str,
-    config: &SystemConfig,
-    store: Option<&softwatt::TraceStore>,
-    log_path: Option<&str>,
-) -> Result<(), String> {
+/// Reads a `softwatt-spec-v1` workload file with the HTTP surface's codec.
+fn read_spec(path: &str) -> Result<BenchmarkSpec, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let value = softwatt_serve::json::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let spec = softwatt_serve::json::spec_from_value(&value).map_err(|e| format!("{path}: {e}"))?;
-    spec.validate().map_err(|e| format!("{path}: {e}"))?;
-    spec.user_instr_budget(config.clocking())
-        .map_err(|e| format!("{path}: {e}"))?;
-
-    let sim = Simulator::new(config.clone())?;
-    eprintln!(
-        "running spec {} (hash {:016x}) on {} (disk {}, scale {}x, seed {:#x})...",
-        spec.name,
-        spec.content_hash(),
-        config.cpu.label(),
-        config.disk.policy.label(),
-        config.time_scale,
-        config.seed
-    );
-    let run = match store {
-        Some(store) => sim.run_spec_stored(&spec, store),
-        None => sim.run_spec(&spec),
-    };
-    print_run(&spec.name, config, &run);
-    if let Some(path) = log_path {
-        write_log_csv(&run, path)?;
-    }
-    Ok(())
+    softwatt_serve::json::spec_from_value(&value).map_err(|e| format!("{path}: {e}"))
 }
 
 fn write_log_csv(run: &RunResult, path: &str) -> Result<(), String> {
@@ -292,7 +294,8 @@ fn write_log_csv(run: &RunResult, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn print_run(name: &str, config: &SystemConfig, run: &RunResult) {
+fn print_run(name: &str, bundle: &RunBundle) {
+    let run = &bundle.run;
     println!(
         "{name}: {} cycles, {:.2} paper-seconds, IPC {:.2}",
         run.cycles,
@@ -306,71 +309,34 @@ fn print_run(name: &str, config: &SystemConfig, run: &RunResult) {
             100.0 * run.mode_cycles(mode) as f64 / run.cycles.max(1) as f64
         );
     }
-    let model = PowerModel::new(&config.power_params());
-    println!("{}", system_budget(&model, run));
+    println!("{}", system_budget(&bundle.model, run));
     println!(
         "disk: {} requests, {} spin-ups, {} spin-downs, {:.2} J",
         run.disk.requests, run.disk.spinups, run.disk.spindowns, run.disk.energy_j
     );
 }
 
-/// Simulates several benchmarks on up to `jobs` threads. Runs are seeded
-/// per-configuration and independent, so results (printed in list order)
-/// are identical whatever `jobs` is.
-fn run_many(
-    benchmarks: &[Benchmark],
-    config: &SystemConfig,
-    jobs: usize,
-    store: Option<&softwatt::TraceStore>,
-) -> Result<(), String> {
-    Simulator::new(config.clone())?; // surface config errors before spawning
-    let workers = jobs.min(benchmarks.len());
-    eprintln!(
-        "running {} benchmarks on {} (disk {}, scale {}x, {workers} worker(s))...",
-        benchmarks.len(),
-        config.cpu.label(),
-        config.disk.policy.label(),
-        config.time_scale
-    );
-    let results: Vec<Mutex<Option<RunResult>>> =
-        benchmarks.iter().map(|_| Mutex::new(None)).collect();
+/// `f` over `items` on up to `jobs` threads, results in item order.
+fn parallel_map<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..jobs.max(1) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&bench) = benchmarks.get(i) else {
-                    break;
-                };
-                let sim = Simulator::new(config.clone()).expect("validated config");
-                let run = match store {
-                    Some(store) => sim.run_benchmark_stored(bench, store),
-                    None => sim.run_benchmark(bench),
-                };
-                *results[i].lock().expect("result slot") = Some(run);
+                let Some(item) = items.get(i) else { break };
+                *slots[i].lock().expect("result slot") = Some(f(item));
             });
         }
     });
-    let model = PowerModel::new(&config.power_params());
-    let mut budgets = Vec::with_capacity(benchmarks.len());
-    for (&bench, slot) in benchmarks.iter().zip(&results) {
-        let run = slot
-            .lock()
-            .expect("result slot")
-            .take()
-            .expect("completed run");
-        budgets.push(system_budget(&model, &run));
-        print_run(bench.name(), config, &run);
-    }
-    if let Some(mean) = SystemBudget::mean_of(&budgets) {
-        println!(
-            "mean over {} benchmarks: {:.3} W total, disk {:.1}%",
-            budgets.len(),
-            mean.total_w(),
-            mean.disk_pct()
-        );
-    }
-    Ok(())
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot")
+                .expect("completed run")
+        })
+        .collect()
 }
 
 fn cmd_post(args: &[String]) -> Result<(), String> {

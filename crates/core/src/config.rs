@@ -57,14 +57,11 @@ pub enum IdleHandling {
     /// full-system behavior; slowest).
     #[default]
     Simulate,
-    /// The paper's §3.3 acceleration: skip *deep* blocked stretches by
-    /// synthesizing idle events at measured per-cycle rates, still
-    /// simulating the shallow head/tail of each stretch.
-    FastForward,
-    /// Account for *every* blocked stretch analytically: the CPU never
-    /// executes idle-loop instructions; gaps are patched into the log
-    /// arithmetically. Makes the work stream disk-policy-independent,
-    /// which is what the trace-replay engine relies on (`DESIGN.md`).
+    /// The paper's §3.3 acceleration applied to *every* blocked stretch:
+    /// the CPU never executes idle-loop instructions; gaps are patched
+    /// into the log arithmetically at measured per-cycle idle rates. Makes
+    /// the work stream disk-policy-independent, which is what the
+    /// trace-replay engine relies on (`DESIGN.md`).
     Analytic,
 }
 

@@ -147,6 +147,15 @@ impl WorkloadKey {
     }
 }
 
+/// Why [`ExperimentSuite::resolve`] refused a workload label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnknownWorkload {
+    /// Neither a benchmark name nor a well-formed `spec:<hash>` label.
+    Label,
+    /// A well-formed spec label whose spec the suite has not registered.
+    Unregistered,
+}
+
 impl From<Benchmark> for WorkloadKey {
     fn from(b: Benchmark) -> WorkloadKey {
         WorkloadKey::Canned(b)
@@ -476,11 +485,12 @@ impl ExperimentSuite {
         Ok(WorkloadKey::Spec(hash))
     }
 
-    /// The registered spec behind a [`WorkloadKey::Spec`] key; `None` for
-    /// canned workloads and unregistered hashes.
+    /// The spec behind a workload: a canned benchmark's own
+    /// `Benchmark::spec()`, or a registered spec by content hash. `None`
+    /// only for a spec hash this suite never registered.
     pub fn spec_for(&self, workload: WorkloadKey) -> Option<Arc<BenchmarkSpec>> {
         match workload {
-            WorkloadKey::Canned(_) => None,
+            WorkloadKey::Canned(b) => Some(Arc::new(b.spec())),
             WorkloadKey::Spec(hash) => self
                 .specs
                 .read()
@@ -488,6 +498,22 @@ impl ExperimentSuite {
                 .get(&hash)
                 .cloned(),
         }
+    }
+
+    /// Resolves a [`WorkloadKey::label`] to a workload this suite can run:
+    /// a canned benchmark name, or the `spec:<hash>` label of a spec
+    /// registered here.
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownWorkload::Label`] for a label that names no workload at
+    /// all, [`UnknownWorkload::Unregistered`] for a well-formed spec label
+    /// whose spec this suite has not seen.
+    pub fn resolve(&self, label: &str) -> Result<WorkloadKey, UnknownWorkload> {
+        let workload = WorkloadKey::from_label(label).ok_or(UnknownWorkload::Label)?;
+        self.spec_for(workload)
+            .map(|_| workload)
+            .ok_or(UnknownWorkload::Unregistered)
     }
 
     /// Registers `spec` and runs it on the given machine setup — the
@@ -532,17 +558,12 @@ impl ExperimentSuite {
         }
     }
 
-    /// The persistent-store key for one (workload, CPU) pair: the canned
-    /// derivation for benchmarks (whose descriptors — and so on-disk
-    /// entries — are unchanged by the spec feature), the content-hash
-    /// derivation for registered specs. Public so the serving layer can
-    /// authenticate `/v1/traces/{hash}` requests against the key a peer
-    /// *should* be asking for.
+    /// The persistent-store key for one (workload, CPU) pair under this
+    /// suite's configuration. Public so the serving layer can authenticate
+    /// `/v1/traces/{hash}` requests against the key a peer *should* be
+    /// asking for.
     pub fn trace_key(&self, workload: WorkloadKey, cpu: CpuModel) -> TraceKey {
-        match workload {
-            WorkloadKey::Canned(b) => TraceKey::derive(&self.config, b, cpu),
-            WorkloadKey::Spec(hash) => TraceKey::derive_spec(&self.config, hash, cpu),
-        }
+        TraceKey::derive(&self.config, workload, cpu)
     }
 
     /// Whether deriving `key`'s bundle would be a cheap replay rather
@@ -696,13 +717,8 @@ impl ExperimentSuite {
         // `/metrics` alone.
         softwatt_obs::count("suite.captures", 1);
         let span = softwatt_obs::span("suite.trace_capture_ns");
-        let trace = match workload {
-            WorkloadKey::Canned(benchmark) => sim.run_benchmark_traced(benchmark).1,
-            WorkloadKey::Spec(_) => {
-                let spec = self.spec_for(workload).expect("registered spec");
-                sim.run_spec_traced(&spec).1
-            }
-        };
+        let spec = self.spec_for(workload).expect("registered spec");
+        let trace = sim.capture(&spec).1;
         if let Some(ns) = span.finish() {
             softwatt_obs::obs_event!(
                 softwatt_obs::Level::Debug,
@@ -775,23 +791,18 @@ impl ExperimentSuite {
             self.replays.fetch_add(1, Ordering::AcqRel);
             softwatt_obs::count("suite.replays", 1);
             let _span = softwatt_obs::span("suite.replay_ns");
-            let mut run = sim.replay_trace(&trace);
-            run.benchmark = key.workload.canned();
-            run
+            sim.replay_trace(&trace)
         } else {
             self.executed.fetch_add(1, Ordering::AcqRel);
             softwatt_obs::count("suite.full_sims", 1);
             let _span = softwatt_obs::span("suite.full_sim_ns");
-            match key.workload {
-                WorkloadKey::Canned(benchmark) => sim.run_benchmark(benchmark),
-                WorkloadKey::Spec(_) => {
-                    let spec = self.spec_for(key.workload).expect("registered spec");
-                    sim.run_spec(&spec)
-                }
-            }
+            sim.run(&self.spec_for(key.workload).expect("registered spec"))
         };
         RunBundle {
-            run,
+            run: RunResult {
+                benchmark: key.workload.canned(),
+                ..run
+            },
             model: PowerModel::new(&config.power_params()),
         }
     }

@@ -52,4 +52,6 @@ pub use store::{PeerSource, TraceKey, TraceStore};
 pub use softwatt_disk::{DiskConfig, DiskPolicy};
 pub use softwatt_power::{GroupPower, PowerModel, PowerParams, UnitGroup};
 pub use softwatt_stats::{Clocking, Mode, SimLog};
-pub use softwatt_workloads::{Benchmark, BenchmarkSpec, IoBurst, PhaseSpec, SyscallRates};
+pub use softwatt_workloads::{
+    Benchmark, BenchmarkSpec, IoBurst, PhaseSpec, SyscallRates, Workload,
+};

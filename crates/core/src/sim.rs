@@ -48,9 +48,9 @@ impl RunResult {
     }
 }
 
-/// Per-cycle event rates of the idle loop, measured once and reused for
-/// fast-forwarding (the paper found idle behavior workload-independent and
-/// predictable — §3.3).
+/// Per-cycle event rates of the idle loop, measured once per run and
+/// patched into every analytically skipped gap (the paper found idle
+/// behavior workload-independent and predictable — §3.3).
 #[derive(Debug, Clone)]
 struct IdleRates {
     per_cycle: Vec<(UnitEvent, f64)>,
@@ -94,95 +94,32 @@ impl Simulator {
         }
     }
 
-    /// Runs one of the named benchmarks.
+    /// Runs one of the named benchmarks: [`Simulator::run`] on its spec,
+    /// tagged with the benchmark.
     pub fn run_benchmark(&self, benchmark: Benchmark) -> RunResult {
-        self.run_benchmark_inner(benchmark, false).0
+        RunResult {
+            benchmark: Some(benchmark),
+            ..self.run(&benchmark.spec())
+        }
     }
 
-    /// Runs one of the named benchmarks under analytic idle handling while
-    /// capturing a [`PerfTrace`]: the policy-independent record of the run
-    /// (sampled log split at request boundaries, the disk request stream in
-    /// work-relative time, idle event rates, and the kernel-service
-    /// profile). The trace can then be replayed through any disk
-    /// configuration with [`Simulator::replay_trace`], reproducing a direct
-    /// simulation exactly — see `DESIGN.md` "Two-phase architecture".
+    /// [`Simulator::capture`] on a named benchmark's spec, tagged with the
+    /// benchmark.
     pub fn run_benchmark_traced(&self, benchmark: Benchmark) -> (RunResult, PerfTrace) {
-        let (result, trace) = self.run_benchmark_inner(benchmark, true);
-        (result, trace.expect("capture mode always yields a trace"))
+        let (run, trace) = self.capture(&benchmark.spec());
+        (
+            RunResult {
+                benchmark: Some(benchmark),
+                ..run
+            },
+            trace,
+        )
     }
 
-    /// Runs a benchmark through the persistent trace store: a stored trace
-    /// is replayed through this simulator's disk configuration; on a miss
-    /// the run is captured and persisted for every later process. Either
-    /// way the result is exactly what [`Simulator::run_benchmark`] produces
-    /// under [`IdleHandling::Analytic`] — callers forcing results through
-    /// the store should set that idle handling so a cold and a warm run
-    /// agree bit for bit.
-    pub fn run_benchmark_stored(
-        &self,
-        benchmark: Benchmark,
-        store: &crate::store::TraceStore,
-    ) -> RunResult {
-        let key = crate::store::TraceKey::derive(&self.config, benchmark, self.config.cpu);
-        if let Some(trace) = store.load(&key) {
-            let mut run = self.replay_trace(&trace);
-            run.benchmark = Some(benchmark);
-            return run;
-        }
-        let (run, trace) = self.run_benchmark_traced(benchmark);
-        store.store(&key, &trace);
-        run
-    }
-
-    /// Runs an arbitrary [`BenchmarkSpec`] through the persistent trace
-    /// store, exactly as [`Simulator::run_benchmark_stored`] does for the
-    /// canned six: the spec's content hash keys the entry, so identical
-    /// specs share one capture across processes while distinct specs can
-    /// never collide with each other or with a canned benchmark.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run_spec`], for specs that fail
-    /// [`BenchmarkSpec::validate`] or whose instruction budget is not
-    /// representable at this configuration's clocking.
-    pub fn run_spec_stored(
-        &self,
-        spec: &BenchmarkSpec,
-        store: &crate::store::TraceStore,
-    ) -> RunResult {
-        let key =
-            crate::store::TraceKey::derive_spec(&self.config, spec.content_hash(), self.config.cpu);
-        if let Some(trace) = store.load(&key) {
-            return self.replay_trace(&trace);
-        }
-        let (run, trace) = self.run_spec_traced(spec);
-        store.store(&key, &trace);
-        run
-    }
-
-    fn run_benchmark_inner(
-        &self,
-        benchmark: Benchmark,
-        capture: bool,
-    ) -> (RunResult, Option<PerfTrace>) {
-        let (mut result, trace) = self.run_spec_inner(&benchmark.spec(), capture);
-        result.benchmark = Some(benchmark);
-        softwatt_obs::obs_event!(
-            softwatt_obs::Level::Debug,
-            "sim",
-            "{benchmark} on {:?} finished: {} cycles, {} disk requests{}",
-            self.config.cpu,
-            result.cycles,
-            result.disk.requests,
-            if capture { " (trace captured)" } else { "" }
-        );
-        (result, trace)
-    }
-
-    /// Runs an arbitrary [`BenchmarkSpec`] — the same codepath the canned
-    /// benchmarks take, so a spec equal to `benchmark.spec()` produces a
-    /// bit-identical run (modulo the `benchmark` name tag, which stays
-    /// `None` here).
+    /// Runs a workload spec on the full system under this configuration's
+    /// idle handling. A canned benchmark is just its `Benchmark::spec()`,
+    /// so both take this one path (the result's `benchmark` tag stays
+    /// `None`; [`Simulator::run_benchmark`] sets it).
     ///
     /// # Panics
     ///
@@ -190,62 +127,45 @@ impl Simulator {
     /// an instruction budget at this configuration's clocking. Callers
     /// holding untrusted specs must gate on those first (the experiment
     /// suite's `register_spec` does).
-    pub fn run_spec(&self, spec: &BenchmarkSpec) -> RunResult {
-        self.run_spec_inner(spec, false).0
+    pub fn run(&self, spec: &BenchmarkSpec) -> RunResult {
+        self.drive(spec, None, false).0
     }
 
-    /// [`Simulator::run_spec`] while capturing a [`PerfTrace`], the spec
-    /// analogue of [`Simulator::run_benchmark_traced`].
+    /// Runs a workload spec under analytic idle handling while capturing a
+    /// [`PerfTrace`]: the policy-independent record of the run (sampled
+    /// log split at request boundaries, the disk request stream in
+    /// work-relative time, idle event rates, and the kernel-service
+    /// profile). The trace can then be replayed through any disk
+    /// configuration with [`Simulator::replay_trace`], reproducing a direct
+    /// simulation exactly — see `DESIGN.md` "Two-phase architecture".
     ///
     /// # Panics
     ///
-    /// As [`Simulator::run_spec`].
-    pub fn run_spec_traced(&self, spec: &BenchmarkSpec) -> (RunResult, PerfTrace) {
-        let (result, trace) = self.run_spec_inner(spec, true);
+    /// As [`Simulator::run`].
+    pub fn capture(&self, spec: &BenchmarkSpec) -> (RunResult, PerfTrace) {
+        let (result, trace) = self.drive(spec, None, true);
         (result, trace.expect("capture mode always yields a trace"))
     }
 
-    fn run_spec_inner(
+    /// Runs an arbitrary user instruction stream (a recorded trace, a
+    /// recording wrapper, ...) in place of `spec`'s generator. The OS side
+    /// of the run — warm files, premapped regions, cacheflush rate and OS
+    /// seed — still comes from `spec`, exactly as in [`Simulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::run`].
+    pub fn run_source(&self, spec: &BenchmarkSpec, user: Box<dyn InstrSource>) -> RunResult {
+        self.drive(spec, Some(user), false).0
+    }
+
+    /// The one simulation driver behind every run entry point: `user`
+    /// replaces the spec's own generator when given, and `capture` records
+    /// a [`PerfTrace`] under analytic idle handling.
+    fn drive(
         &self,
         spec: &BenchmarkSpec,
-        capture: bool,
-    ) -> (RunResult, Option<PerfTrace>) {
-        let clocking = self.config.clocking();
-        let workload = Workload::new(spec.clone(), clocking, self.config.seed);
-        let warm = workload.warm_files();
-        let premap = workload.premap_regions();
-        let cacheflush_rate = workload.spec().cacheflush_per_kinstr;
-        self.run_source_inner(
-            Box::new(workload),
-            &warm,
-            &premap,
-            OsConfig {
-                cacheflush_per_kinstr: cacheflush_rate,
-                seed: self.config.seed ^ 0x5EED,
-                ..self.config.os
-            },
-            capture,
-        )
-    }
-
-    /// Runs an arbitrary instruction source under the OS model.
-    pub fn run_source(
-        &self,
-        user: Box<dyn InstrSource>,
-        warm_files: &[(softwatt_isa::FileRef, u64)],
-        premap: &[(u64, u64)],
-        os_config: OsConfig,
-    ) -> RunResult {
-        self.run_source_inner(user, warm_files, premap, os_config, false)
-            .0
-    }
-
-    fn run_source_inner(
-        &self,
-        user: Box<dyn InstrSource>,
-        warm_files: &[(softwatt_isa::FileRef, u64)],
-        premap: &[(u64, u64)],
-        os_config: OsConfig,
+        user: Option<Box<dyn InstrSource>>,
         capture: bool,
     ) -> (RunResult, Option<PerfTrace>) {
         softwatt_obs::count(
@@ -262,6 +182,15 @@ impl Simulator {
             "sim.full_sim_ns"
         });
         let clocking = self.config.clocking();
+        let workload = Workload::new(spec.clone(), clocking, self.config.seed);
+        let warm_files = workload.warm_files();
+        let premap = workload.premap_regions();
+        let os_config = OsConfig {
+            cacheflush_per_kinstr: spec.cacheflush_per_kinstr,
+            seed: self.config.seed ^ 0x5EED,
+            ..self.config.os
+        };
+        let user = user.unwrap_or_else(|| Box::new(workload));
         let model = PowerModel::new(&self.config.power_params());
         let mut stats = StatsCollector::with_weights(
             clocking,
@@ -270,10 +199,10 @@ impl Simulator {
         );
         let disk = Disk::new(self.config.disk, clocking);
         let mut os = SystemOs::new(os_config, clocking, disk, user);
-        for &(file, bytes) in warm_files {
+        for (file, bytes) in warm_files {
             os.warm_file(file, bytes);
         }
-        for &(base, bytes) in premap {
+        for (base, bytes) in premap {
             os.premap_region(base, bytes);
         }
         let mut mem = MemHierarchy::new(self.config.mem);
@@ -281,13 +210,8 @@ impl Simulator {
 
         // Trace capture needs every blocked stretch handled analytically —
         // that is what makes the captured work stream policy-independent.
-        let handling = if capture {
-            IdleHandling::Analytic
-        } else {
-            self.config.idle
-        };
-        let idle_rates = (handling != IdleHandling::Simulate).then(|| self.measure_idle_rates());
-        let analytic = handling == IdleHandling::Analytic;
+        let analytic = capture || self.config.idle == IdleHandling::Analytic;
+        let idle_rates = analytic.then(|| self.measure_idle_rates());
         os.set_analytic_idle(analytic);
         if capture {
             os.start_request_capture();
@@ -323,39 +247,21 @@ impl Simulator {
             if out.program_exited && os.finished() {
                 break;
             }
-            match (&idle_rates, os.blocked_until()) {
-                // Analytic idle handling: account for the whole blocked
-                // stretch arithmetically, flushing the sample window at the
-                // request boundary even when the gap is empty (the gap
-                // length is the only policy-dependent quantity, so samples
-                // must never straddle a boundary).
-                (Some(rates), Some(until)) if analytic => {
-                    let now = stats.cycle();
-                    let gap = until.saturating_sub(now);
-                    stats.flush_window();
-                    let before = stats.samples_emitted();
-                    stats.skip_idle_gap(gap, &rates.per_cycle, KernelService::IdleProcess.id());
-                    os.complete_block(gap);
-                    if capture {
-                        marks.push((before, stats.samples_emitted()));
-                    }
+            // Analytic idle handling: account for the whole blocked stretch
+            // arithmetically, flushing the sample window at the request
+            // boundary even when the gap is empty (the gap length is the
+            // only policy-dependent quantity, so samples must never
+            // straddle a boundary).
+            if let (Some(rates), Some(until)) = (&idle_rates, os.blocked_until()) {
+                let now = stats.cycle();
+                let gap = until.saturating_sub(now);
+                stats.flush_window();
+                let before = stats.samples_emitted();
+                stats.skip_idle_gap(gap, &rates.per_cycle, KernelService::IdleProcess.id());
+                os.complete_block(gap);
+                if capture {
+                    marks.push((before, stats.samples_emitted()));
                 }
-                // Legacy §3.3 acceleration: skip only *deep* stretches, and
-                // keep simulating their head and tail.
-                (Some(rates), Some(until)) => {
-                    let now = stats.cycle();
-                    if until > now + 5_000 {
-                        let gap = until - now - 500;
-                        let prev_mode = stats.mode();
-                        stats.set_mode(Mode::Idle);
-                        for &(ev, rate) in &rates.per_cycle {
-                            stats.record_n(ev, (rate * gap as f64) as u64);
-                        }
-                        stats.tick_n(gap);
-                        stats.set_mode(prev_mode);
-                    }
-                }
-                _ => {}
             }
             assert!(stats.cycle() < cycle_cap, "runaway simulation");
         }
@@ -416,6 +322,16 @@ impl Simulator {
             user_instrs,
             duration_s: clocking.cycles_to_paper_secs(cycles),
         };
+        softwatt_obs::obs_event!(
+            softwatt_obs::Level::Debug,
+            "sim",
+            "{} on {:?} finished: {} cycles, {} disk requests{}",
+            spec.name,
+            self.config.cpu,
+            result.cycles,
+            result.disk.requests,
+            if capture { " (trace captured)" } else { "" }
+        );
         (result, trace)
     }
 
@@ -425,7 +341,7 @@ impl Simulator {
     /// recomputed, and the log/profile are reconstructed by replaying the
     /// trace's work segments and patching each gap with the same idle-event
     /// machinery a direct analytic simulation uses. The result is exactly
-    /// (bit-for-bit) what [`Simulator::run_benchmark`] produces under
+    /// (bit-for-bit) what [`Simulator::run`] produces under
     /// [`IdleHandling::Analytic`] for the same configuration.
     ///
     /// Only the disk configuration may differ from the capture run; the
@@ -582,25 +498,51 @@ mod tests {
         assert!((a.disk.energy_j - b.disk.energy_j).abs() < 1e-12);
     }
 
+    /// A canned benchmark is nothing but its spec: `run(&b.spec())` and
+    /// `capture(&b.spec())` equal the named wrappers bit for bit, apart
+    /// from the name tag, and the trace key keeps the descriptor prefixes
+    /// every stored entry was written under.
     #[test]
-    fn fast_forward_preserves_results_approximately() {
-        let slow = Simulator::new(quick_config())
-            .unwrap()
-            .run_benchmark(Benchmark::Jess);
-        let mut ff_cfg = quick_config();
-        ff_cfg.idle = IdleHandling::FastForward;
-        let fast = Simulator::new(ff_cfg)
-            .unwrap()
-            .run_benchmark(Benchmark::Jess);
-        // Same idle cycle total (time still passes), similar event totals.
-        let rel = |a: u64, b: u64| (a as f64 - b as f64).abs() / (a.max(1) as f64);
+    fn canned_benchmarks_run_as_their_specs() {
+        use crate::experiments::WorkloadKey;
+        use crate::store::TraceKey;
+
+        let sim = Simulator::new(quick_config()).unwrap();
+        let named = sim.run_benchmark(Benchmark::Jess);
+        let spec = sim.run(&Benchmark::Jess.spec());
+        assert_eq!(named.benchmark, Some(Benchmark::Jess));
+        assert_eq!(spec.benchmark, None, "a spec run carries no name tag");
+        assert_eq!(named.cpu, spec.cpu);
+        assert_eq!(named.cycles, spec.cycles);
+        assert_eq!(named.committed, spec.committed);
+        assert_eq!(named.user_instrs, spec.user_instrs);
+        assert_eq!(named.log, spec.log, "sample-for-sample log");
+        assert_eq!(named.disk, spec.disk);
+        assert_eq!(named.disk.energy_j.to_bits(), spec.disk.energy_j.to_bits());
+        assert_eq!(named.services.aggregates(), spec.services.aggregates());
+        assert_eq!(named.duration_s.to_bits(), spec.duration_s.to_bits());
+
+        let (named_run, named_trace) = sim.run_benchmark_traced(Benchmark::Jess);
+        let (spec_run, spec_trace) = sim.capture(&Benchmark::Jess.spec());
+        assert_eq!(named_trace, spec_trace, "one capture path");
+        assert_eq!(named_run.benchmark, Some(Benchmark::Jess));
+        assert_eq!(named_run.log, spec_run.log);
+
+        let config = quick_config();
+        let canned = TraceKey::derive(&config, Benchmark::Jess, CpuModel::Mxs);
         assert!(
-            rel(slow.mode_cycles(Mode::Idle), fast.mode_cycles(Mode::Idle)) < 0.2,
-            "idle cycles: {} vs {}",
-            slow.mode_cycles(Mode::Idle),
-            fast.mode_cycles(Mode::Idle)
+            canned.descriptor().starts_with("swtrace-v1|jess|"),
+            "{}",
+            canned.descriptor()
         );
-        assert!(rel(slow.cycles, fast.cycles) < 0.2);
+        let spec_key = TraceKey::derive(&config, WorkloadKey::Spec(0xabcd), CpuModel::Mxs);
+        assert!(
+            spec_key
+                .descriptor()
+                .starts_with("swtrace-v1|spec:000000000000abcd|"),
+            "{}",
+            spec_key.descriptor()
+        );
     }
 
     #[test]

@@ -33,9 +33,9 @@ use std::path::{Path, PathBuf};
 use softwatt_stats::hash::fnv1a;
 use softwatt_stats::swtrace::SWTRACE_VERSION;
 use softwatt_stats::PerfTrace;
-use softwatt_workloads::Benchmark;
 
 use crate::config::{CpuModel, IdleHandling, SystemConfig};
+use crate::experiments::WorkloadKey;
 
 /// The content address of one stored trace.
 ///
@@ -49,7 +49,12 @@ pub struct TraceKey {
 }
 
 impl TraceKey {
-    /// Derives the key for one (config, benchmark, CPU) run.
+    /// Derives the key for one (config, workload, CPU) run.
+    ///
+    /// The descriptor's workload slot is the [`WorkloadKey::label`]: the
+    /// benchmark name for a canned benchmark, `spec:<16-hex-digit content
+    /// hash>` for a registered spec. `spec:` is not a benchmark name, so
+    /// spec entries can never collide with canned ones.
     ///
     /// Policy-dependent fields are normalized before hashing: the CPU field
     /// is set to `cpu`, idle handling to [`IdleHandling::Analytic`] (the
@@ -59,30 +64,17 @@ impl TraceKey {
     /// f64 formatting is shortest-round-trip and therefore exact. The
     /// `swtrace` format version is folded in so a codec change invalidates
     /// every old entry at once.
-    pub fn derive(config: &SystemConfig, benchmark: Benchmark, cpu: CpuModel) -> TraceKey {
+    pub fn derive(
+        config: &SystemConfig,
+        workload: impl Into<WorkloadKey>,
+        cpu: CpuModel,
+    ) -> TraceKey {
         let mut canonical = config.clone();
         canonical.cpu = cpu;
         canonical.idle = IdleHandling::Analytic;
         canonical.disk.policy = softwatt_disk::DiskPolicy::Conventional;
-        let descriptor = format!("swtrace-v{SWTRACE_VERSION}|{benchmark}|{canonical:?}");
-        let hash = fnv1a(descriptor.as_bytes());
-        TraceKey { descriptor, hash }
-    }
-
-    /// Derives the key for a user-supplied spec, addressed by its
-    /// [`BenchmarkSpec::content_hash`]. The benchmark slot of the
-    /// descriptor carries a `spec:<16-hex-digit hash>` token instead of a
-    /// benchmark name — `spec:` is not a valid benchmark name, so spec
-    /// entries can never collide with canned ones, and the canned
-    /// descriptors (and so every existing on-disk entry) are unchanged.
-    ///
-    /// [`BenchmarkSpec::content_hash`]: softwatt_workloads::BenchmarkSpec::content_hash
-    pub fn derive_spec(config: &SystemConfig, spec_hash: u64, cpu: CpuModel) -> TraceKey {
-        let mut canonical = config.clone();
-        canonical.cpu = cpu;
-        canonical.idle = IdleHandling::Analytic;
-        canonical.disk.policy = softwatt_disk::DiskPolicy::Conventional;
-        let descriptor = format!("swtrace-v{SWTRACE_VERSION}|spec:{spec_hash:016x}|{canonical:?}");
+        let workload = workload.into();
+        let descriptor = format!("swtrace-v{SWTRACE_VERSION}|{workload}|{canonical:?}");
         let hash = fnv1a(descriptor.as_bytes());
         TraceKey { descriptor, hash }
     }
@@ -233,42 +225,14 @@ impl TraceStore {
         .into()
     }
 
-    /// Persists `trace` under `key`, crash-safely: the bytes land in a
-    /// temp file in the store directory, are fsynced, and are renamed over
-    /// the final name, so concurrent readers and a crash mid-write can
-    /// never observe a partial entry.
-    ///
-    /// Best-effort: failures are logged as obs events and swallowed — the
-    /// caller already has the trace, and the store is only a cache.
+    /// Persists `trace` under `key`: encodes it, then writes the bytes
+    /// through [`TraceStore::store_raw`].
     pub fn store(&self, key: &TraceKey, trace: &PerfTrace) {
-        let _span = softwatt_obs::span("store.write_ns");
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{:016x}-{}", key.hash, std::process::id()));
-        match self.write_entry(key, trace, &tmp) {
-            Ok(()) => {
-                softwatt_obs::count("trace_store.writes", 1);
-                self.enforce_cap(&self.entry_path(key));
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                softwatt_obs::obs_event!(
-                    softwatt_obs::Level::Warn,
-                    "store",
-                    "cannot persist trace cache entry {} ({e}); continuing without it",
-                    self.entry_path(key).display()
-                );
-            }
-        }
-    }
-
-    fn write_entry(&self, key: &TraceKey, trace: &PerfTrace, tmp: &Path) -> io::Result<()> {
-        let mut file = fs::File::create(tmp)?;
-        trace.to_binary(&mut file, key.descriptor.as_bytes())?;
-        file.flush()?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(tmp, self.entry_path(key))
+        let mut bytes = Vec::new();
+        trace
+            .to_binary(&mut bytes, key.descriptor.as_bytes())
+            .expect("encoding to a Vec cannot fail");
+        self.store_raw(key, &bytes);
     }
 
     /// The raw `swtrace-v1` bytes of `key`'s entry, unvalidated — this is
@@ -279,11 +243,16 @@ impl TraceStore {
         fs::read(self.entry_path(key)).ok()
     }
 
-    /// Persists already-encoded `swtrace-v1` bytes under `key`, with the
-    /// same crash-safe temp-file/fsync/rename dance as
-    /// [`TraceStore::store`]. Callers must have validated the bytes (the
-    /// peer-fetch tier parses and descriptor-checks before persisting);
-    /// the store itself stays agnostic. Best-effort like every write.
+    /// Persists already-encoded `swtrace-v1` bytes under `key`,
+    /// crash-safely: the bytes land in a temp file in the store directory,
+    /// are fsynced, and are renamed over the final name, so concurrent
+    /// readers and a crash mid-write can never observe a partial entry.
+    /// Callers must have validated the bytes (the peer-fetch tier parses
+    /// and descriptor-checks before persisting); the store itself stays
+    /// agnostic.
+    ///
+    /// Best-effort: failures are logged as obs events and swallowed — the
+    /// caller already has the trace, and the store is only a cache.
     pub fn store_raw(&self, key: &TraceKey, bytes: &[u8]) {
         let _span = softwatt_obs::span("store.write_ns");
         let tmp = self
@@ -400,6 +369,7 @@ impl TraceStore {
 mod tests {
     use super::*;
     use crate::sim::Simulator;
+    use softwatt_workloads::Benchmark;
 
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("swstore-{}-{name}", std::process::id()));
@@ -460,18 +430,18 @@ mod tests {
     fn spec_keys_are_disjoint_from_canned_keys() {
         let config = quick_config();
         let canned = TraceKey::derive(&config, Benchmark::Jess, CpuModel::Mxs);
-        let spec = TraceKey::derive_spec(&config, 0xabcd, CpuModel::Mxs);
+        let spec = TraceKey::derive(&config, WorkloadKey::Spec(0xabcd), CpuModel::Mxs);
         assert_ne!(spec, canned, "spec token must change the descriptor");
         assert!(spec.descriptor().contains("spec:000000000000abcd"));
         assert_ne!(
-            TraceKey::derive_spec(&config, 0xabce, CpuModel::Mxs),
+            TraceKey::derive(&config, WorkloadKey::Spec(0xabce), CpuModel::Mxs),
             spec,
             "content hash must change the key"
         );
         let mut other_cpu = config.clone();
         other_cpu.cpu = CpuModel::Mipsy;
         assert_eq!(
-            TraceKey::derive_spec(&other_cpu, 0xabcd, CpuModel::Mxs),
+            TraceKey::derive(&other_cpu, WorkloadKey::Spec(0xabcd), CpuModel::Mxs),
             spec,
             "spec keys normalize policy-dependent fields like canned keys"
         );
@@ -509,7 +479,7 @@ mod tests {
         // Spec-derived keys give unlimited distinct entries from one
         // captured trace; their descriptors (and so entry sizes) match to
         // the byte.
-        let key = |i: u64| TraceKey::derive_spec(&config, i, config.cpu);
+        let key = |i: u64| TraceKey::derive(&config, WorkloadKey::Spec(i), config.cpu);
 
         store.store(&key(0), &trace);
         let entry_len = fs::metadata(store.entry_path(&key(0))).unwrap().len();
@@ -541,11 +511,9 @@ mod tests {
         let sim = Simulator::new(config.clone()).unwrap();
         let trace = std::sync::Arc::new(sim.run_benchmark_traced(Benchmark::Jess).1);
         let probe = TraceStore::open(&dir).unwrap();
-        probe.store(&TraceKey::derive_spec(&config, 999, config.cpu), &trace);
-        let entry_len =
-            fs::metadata(probe.entry_path(&TraceKey::derive_spec(&config, 999, config.cpu)))
-                .unwrap()
-                .len();
+        let probe_key = TraceKey::derive(&config, WorkloadKey::Spec(999), config.cpu);
+        probe.store(&probe_key, &trace);
+        let entry_len = fs::metadata(probe.entry_path(&probe_key)).unwrap().len();
         let cap = entry_len * 3;
 
         let threads: Vec<_> = (0..4u64)
@@ -557,7 +525,7 @@ mod tests {
                     let store = TraceStore::open(&dir).unwrap().with_max_bytes(Some(cap));
                     for i in 0..8u64 {
                         store.store(
-                            &TraceKey::derive_spec(&config, t * 100 + i, config.cpu),
+                            &TraceKey::derive(&config, WorkloadKey::Spec(t * 100 + i), config.cpu),
                             &trace,
                         );
                     }
@@ -584,7 +552,7 @@ mod tests {
         );
         let survivors: Vec<_> = (0..4u64)
             .flat_map(|t| (0..8u64).map(move |i| t * 100 + i))
-            .map(|h| TraceKey::derive_spec(&config, h, config.cpu))
+            .map(|h| TraceKey::derive(&config, WorkloadKey::Spec(h), config.cpu))
             .filter(|k| probe.contains(k))
             .collect();
         assert!(!survivors.is_empty(), "the cap left some entries behind");
@@ -613,7 +581,7 @@ mod tests {
 
         // store_raw persists pre-encoded bytes identically (the
         // peer-receive path).
-        let other = TraceKey::derive_spec(&config, 7, config.cpu);
+        let other = TraceKey::derive(&config, WorkloadKey::Spec(7), config.cpu);
         let mut peer_bytes = Vec::new();
         trace
             .to_binary(&mut peer_bytes, other.descriptor().as_bytes())

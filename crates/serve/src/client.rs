@@ -7,6 +7,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use crate::http::{self, Limits};
+
 /// One response as read off the wire.
 #[derive(Debug)]
 pub struct ClientResponse {
@@ -77,15 +79,8 @@ impl Client {
     ///
     /// Propagates socket write failures.
     pub fn send_request(&mut self, method: &str, path: &str, body: &str) -> io::Result<()> {
-        // One write call for the whole request: `write!` straight to the
-        // stream would emit one segment per format fragment, and Nagle
-        // holding the tail fragments for a delayed ACK puts a ~40ms floor
-        // under every measured latency.
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: softwatt\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream.write_all(request.as_bytes())?;
+        self.stream
+            .write_all(&http::format_request(method, path, body))?;
         self.stream.flush()
     }
 
@@ -95,57 +90,59 @@ impl Client {
     /// # Errors
     ///
     /// Fails on timeouts, early EOF (including a body shorter than its
-    /// `Content-Length`), or an unparsable status line.
+    /// `Content-Length`), or a malformed head — one that outgrows
+    /// [`Limits::max_head_bytes`] included, so a peer streaming an endless
+    /// header costs at most that much buffer.
     pub fn read_response_bytes(&mut self) -> io::Result<RawResponse> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before status line",
-            ));
-        }
-        let status: u16 = line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("bad status line"))?;
-
-        let mut headers = Vec::new();
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
+        let limits = Limits::default();
+        let mut buf = Vec::new();
+        let head = loop {
+            // Never buffer more than one byte past the budget: that byte
+            // is what proves an unterminated head too large.
+            let room = limits.max_head_bytes + 1 - buf.len();
+            let taken = {
+                let chunk = self.reader.fill_buf()?;
+                let taken = chunk.len().min(room);
+                buf.extend_from_slice(&chunk[..taken]);
+                taken
+            };
+            if taken == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "EOF in headers",
+                    "connection closed before the response head ended",
                 ));
             }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
+            match http::parse_response_head(&buf, &limits) {
+                Ok(Some(head)) => {
+                    // The head ends inside this chunk (it did not end in
+                    // the bytes seen before it); leave the body unread.
+                    self.reader.consume(head.head_len + taken - buf.len());
+                    break head;
+                }
+                Ok(None) => self.reader.consume(taken),
+                Err(e) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad response head: {e:?}"),
+                    ))
+                }
             }
-            let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-
-        let len: u64 = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
-            .ok_or_else(|| bad("missing content-length"))?;
+        };
         // The length comes from the other side: grow the buffer with the
         // bytes that actually arrive instead of allocating it up front.
         let mut body = Vec::new();
-        (&mut self.reader).take(len).read_to_end(&mut body)?;
-        if body.len() as u64 != len {
+        (&mut self.reader)
+            .take(head.content_length)
+            .read_to_end(&mut body)?;
+        if body.len() as u64 != head.content_length {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "body shorter than its content-length",
             ));
         }
         Ok(RawResponse {
-            status,
-            headers,
+            status: head.status,
+            headers: head.headers,
             body,
         })
     }
@@ -219,6 +216,41 @@ mod tests {
             .request_bytes("GET", "/v1/traces/0011223344556677", "")
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn endless_header_line_is_invalid_data_within_the_head_budget() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let budget = Limits::default().max_head_bytes;
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            let mut byte = [0u8; 1];
+            while !request.ends_with(b"\r\n\r\n") {
+                stream.read_exact(&mut byte).unwrap();
+                request.push(byte[0]);
+            }
+            // One header line that never ends: 64 head budgets' worth,
+            // then the connection stays open until the client hangs up.
+            stream.write_all(b"HTTP/1.1 200 OK\r\nX-Endless: ").unwrap();
+            let chunk = [b'a'; 4096];
+            let mut sent = 0;
+            while sent < 64 * budget {
+                match stream.write(&chunk) {
+                    Ok(n) => sent += n,
+                    Err(_) => return,
+                }
+            }
+            let _ = stream.read(&mut byte);
+        });
+        let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
+        let err = client
+            .request_bytes("GET", "/v1/traces/0011223344556677", "")
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        drop(client);
         server.join().unwrap();
     }
 }

@@ -1,5 +1,6 @@
 //! Hand-rolled HTTP/1.1: incremental request parsing and response
-//! writing.
+//! writing for the server, and the client-side mirror (request formatting,
+//! incremental response-head parsing) for every in-repo client.
 //!
 //! Deliberately small: request line + headers + `Content-Length` bodies,
 //! keep-alive, and the handful of status codes the service emits. No
@@ -106,32 +107,10 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
         }
     }
 
-    // Find the empty line terminating the head: scan line by line.
     let head = &buf[start..];
-    let mut head_end = None; // offset past the terminating empty line
-    let mut line_start = 0;
-    for (i, &b) in head.iter().enumerate() {
-        if b != b'\n' {
-            continue;
-        }
-        let line = &head[line_start..i];
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if line.is_empty() {
-            head_end = Some(i + 1);
-            break;
-        }
-        line_start = i + 1;
-    }
-    let Some(head_end) = head_end else {
-        if head.len() > limits.max_head_bytes {
-            return Err(ParseError::Malformed("request head too large"));
-        }
+    let Some(head_end) = find_head_end(head, limits, "request head too large")? else {
         return Ok(None);
     };
-    if head_end > limits.max_head_bytes {
-        return Err(ParseError::Malformed("request head too large"));
-    }
-
     let head_text = std::str::from_utf8(&head[..head_end])
         .map_err(|_| ParseError::Malformed("non-UTF-8 request head"))?;
     let mut lines = head_text
@@ -151,22 +130,11 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
         _ => return Err(ParseError::Malformed("unsupported HTTP version")),
     };
 
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(ParseError::Malformed("bad header line"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
     let mut req = Request {
         method,
         target,
         http11,
-        headers,
+        headers: header_fields(lines)?,
         body: Vec::new(),
     };
     if req.header("transfer-encoding").is_some() {
@@ -190,6 +158,148 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
     }
     req.body = buf[body_start..body_start + body_len].to_vec();
     Ok(Some((req, body_start + body_len)))
+}
+
+/// The length of the head at the front of `head`: everything through the
+/// empty line that terminates it. `Ok(None)` while it is unterminated and
+/// still within [`Limits::max_head_bytes`]; `too_large` once it outgrows
+/// the budget, terminated or not, so a peer streaming one endless line
+/// costs at most the budget.
+fn find_head_end(
+    head: &[u8],
+    limits: &Limits,
+    too_large: &'static str,
+) -> Result<Option<usize>, ParseError> {
+    // Find the empty line terminating the head: scan line by line.
+    let mut head_end = None; // offset past the terminating empty line
+    let mut line_start = 0;
+    for (i, &b) in head.iter().enumerate() {
+        if b != b'\n' {
+            continue;
+        }
+        let line = &head[line_start..i];
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        if line.is_empty() {
+            head_end = Some(i + 1);
+            break;
+        }
+        line_start = i + 1;
+    }
+    let Some(head_end) = head_end else {
+        if head.len() > limits.max_head_bytes {
+            return Err(ParseError::Malformed(too_large));
+        }
+        return Ok(None);
+    };
+    if head_end > limits.max_head_bytes {
+        return Err(ParseError::Malformed(too_large));
+    }
+    Ok(Some(head_end))
+}
+
+/// `name: value` header lines up to the empty line, names lower-cased.
+fn header_fields<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(String, String)>, ParseError> {
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            break;
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or(ParseError::Malformed("bad header line"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    Ok(headers)
+}
+
+/// One request as a client sends it: a single buffer, so one write puts
+/// it on the wire (a write per fragment would let Nagle hold the tail for
+/// a delayed ACK).
+pub fn format_request(method: &str, path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: softwatt\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// A parsed response head: what a client needs to frame the body behind
+/// it.
+#[derive(Debug)]
+pub struct ResponseHead {
+    /// HTTP status code.
+    pub status: u16,
+    /// Headers with lower-cased names, in arrival order.
+    pub headers: Vec<(String, String)>,
+    /// Bytes of status line, headers and terminating empty line; the body
+    /// starts here.
+    pub head_len: usize,
+    /// The declared `Content-Length`. It comes from the peer: read the
+    /// body by bytes received, never allocate it up front.
+    pub content_length: u64,
+}
+
+impl ResponseHead {
+    /// First header with the given lower-case name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Whether the server closes the connection after this response.
+    pub fn closes(&self) -> bool {
+        self.header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+}
+
+/// Tries to parse a response head from the front of `buf`: the client
+/// side of [`parse_request`], with the same incremental contract.
+/// `Ok(Some(head))` once the head is complete, `Ok(None)` while the bytes
+/// so far are a valid prefix within [`Limits::max_head_bytes`], and an
+/// error for bytes that can never become a response head — including a
+/// head that outgrows the budget without terminating.
+///
+/// # Errors
+///
+/// [`ParseError::Malformed`] as above; the connection cannot be
+/// re-synchronized after it.
+pub fn parse_response_head(
+    buf: &[u8],
+    limits: &Limits,
+) -> Result<Option<ResponseHead>, ParseError> {
+    let Some(head_end) = find_head_end(buf, limits, "response head too large")? else {
+        return Ok(None);
+    };
+    let head_text = std::str::from_utf8(&buf[..head_end])
+        .map_err(|_| ParseError::Malformed("non-UTF-8 response head"))?;
+    let mut lines = head_text
+        .split('\n')
+        .map(|l| l.strip_suffix('\r').unwrap_or(l));
+    let mut status_line = lines.next().unwrap_or("").split(' ');
+    if !status_line.next().unwrap_or("").starts_with("HTTP/1.") {
+        return Err(ParseError::Malformed("bad status line"));
+    }
+    let status = status_line
+        .next()
+        .and_then(|code| code.parse().ok())
+        .ok_or(ParseError::Malformed("bad status line"))?;
+    let mut head = ResponseHead {
+        status,
+        headers: header_fields(lines)?,
+        head_len: head_end,
+        content_length: 0,
+    };
+    head.content_length = head
+        .header("content-length")
+        .ok_or(ParseError::Malformed("missing content-length"))?
+        .parse()
+        .map_err(|_| ParseError::Malformed("bad content-length"))?;
+    Ok(Some(head))
 }
 
 /// One response: status, JSON body, the optional `Retry-After` the
@@ -444,6 +554,68 @@ mod tests {
         assert!(matches!(err, ParseError::Malformed(_)));
         // Under the budget and unterminated: still just incomplete.
         assert!(matches!(parse_request(b"GET / HT", &limits), Ok(None)));
+    }
+
+    #[test]
+    fn response_heads_parse_whole_or_dribbled() {
+        let mut wire = Vec::new();
+        let resp = Response::overloaded(2).with_lane("cold").with_source("sim");
+        write_response(&mut wire, &resp, true).unwrap();
+        let limits = Limits::default();
+        let head = parse_response_head(&wire, &limits).unwrap().unwrap();
+        assert_eq!(head.status, 503);
+        assert_eq!(head.header("retry-after"), Some("2"));
+        assert_eq!(head.header("x-softwatt-lane"), Some("cold"));
+        assert_eq!(head.header("x-softwatt-source"), Some("sim"));
+        assert!(head.closes());
+        assert_eq!(head.content_length, resp.body.len() as u64);
+        assert_eq!(&wire[head.head_len..], resp.body.as_bytes());
+        // Fed one byte at a time, every strict prefix of the head asks for
+        // more and the first complete one parses identically.
+        for cut in 0..head.head_len {
+            assert!(
+                matches!(parse_response_head(&wire[..cut], &limits), Ok(None)),
+                "prefix of {cut} bytes must ask for more"
+            );
+        }
+        let dribbled = parse_response_head(&wire[..head.head_len], &limits)
+            .unwrap()
+            .unwrap();
+        assert_eq!(dribbled.headers, head.headers);
+        assert_eq!(dribbled.head_len, head.head_len);
+    }
+
+    #[test]
+    fn endless_response_header_is_refused_past_the_head_budget() {
+        let limits = Limits {
+            max_head_bytes: 64,
+            ..Limits::default()
+        };
+        let mut wire = b"HTTP/1.1 200 OK\r\nX-Endless: ".to_vec();
+        while wire.len() <= limits.max_head_bytes {
+            assert!(matches!(parse_response_head(&wire, &limits), Ok(None)));
+            wire.push(b'a');
+        }
+        assert!(matches!(
+            parse_response_head(&wire, &limits),
+            Err(ParseError::Malformed(_))
+        ));
+        for bad in [
+            &b"garbage\r\n\r\n"[..],
+            b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n",
+        ] {
+            assert!(
+                matches!(
+                    parse_response_head(bad, &limits),
+                    Err(ParseError::Malformed(_))
+                ),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
-use softwatt::experiments::{DiskSetup, RunKey, WorkloadKey};
+use softwatt::experiments::{DiskSetup, RunKey, UnknownWorkload, WorkloadKey};
 use softwatt::{Benchmark, CpuModel, ExperimentSuite};
 
 use crate::http::{Request, Response};
@@ -388,20 +388,18 @@ fn trace_transfer(ctx: &Ctx, req: &Request) -> Outcome {
             "'workload' and 'cpu' query parameters are required",
         ));
     };
-    let Some(workload) = WorkloadKey::from_label(label) else {
-        return Outcome::Ready(Response::error(
-            404,
-            "unknown_workload",
-            &format!("no workload '{label}'"),
-        ));
+    let workload = match ctx.suite.resolve(label) {
+        Ok(workload) => workload,
+        Err(why) => {
+            let message = match why {
+                UnknownWorkload::Label => format!("no workload '{label}'"),
+                UnknownWorkload::Unregistered => {
+                    format!("spec '{label}' is not registered on this node")
+                }
+            };
+            return Outcome::Ready(Response::error(404, "unknown_workload", &message));
+        }
     };
-    if matches!(workload, WorkloadKey::Spec(_)) && ctx.suite.spec_for(workload).is_none() {
-        return Outcome::Ready(Response::error(
-            404,
-            "unknown_workload",
-            &format!("spec '{label}' is not registered on this node"),
-        ));
-    }
     let Some(cpu) = CpuModel::from_name(cpu_name) else {
         return Outcome::Ready(Response::error(
             404,
@@ -484,15 +482,15 @@ fn workload_from_value(
         let label = v
             .as_str()
             .ok_or_else(|| bad_request("bad_query", "'workload' must be a string"))?;
-        let workload = WorkloadKey::from_label(label)
-            .ok_or_else(|| bad_request("unknown_workload", &format!("no workload '{label}'")))?;
-        if matches!(workload, WorkloadKey::Spec(_)) && suite.spec_for(workload).is_none() {
-            return Err(bad_request(
-                "unknown_workload",
-                &format!("spec '{label}' is not registered; post it inline via 'spec' first"),
-            ));
-        }
-        return Ok(workload);
+        return suite.resolve(label).map_err(|why| {
+            let message = match why {
+                UnknownWorkload::Label => format!("no workload '{label}'"),
+                UnknownWorkload::Unregistered => {
+                    format!("spec '{label}' is not registered; post it inline via 'spec' first")
+                }
+            };
+            bad_request("unknown_workload", &message)
+        });
     }
     Err(bad_request(
         "missing_field",

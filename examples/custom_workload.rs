@@ -12,7 +12,6 @@ use std::io::{BufReader, BufWriter};
 use softwatt::budget::system_budget;
 use softwatt::{CpuModel, Mode, PowerModel, Simulator, SystemConfig};
 use softwatt_isa::{Recording, TraceReader};
-use softwatt_os::OsConfig;
 use softwatt_workloads::{BenchmarkSpec, IoBurst, PhaseSpec, SyscallRates, Workload};
 
 /// A transaction-processing-flavoured synthetic application: short
@@ -75,20 +74,16 @@ fn main() -> Result<(), String> {
     let clocking = config.clocking();
 
     // Instantiate the custom workload and record its user stream while
-    // running it on the 4-wide machine.
-    let workload = Workload::new(my_spec(), clocking, 99);
-    let warm = workload.warm_files();
-    let premap = workload.premap_regions();
-    let os = OsConfig {
-        cacheflush_per_kinstr: workload.spec().cacheflush_per_kinstr,
-        ..OsConfig::default()
-    };
+    // running it on the 4-wide machine. The spec also supplies the OS
+    // side of the run (warm files, premapped regions, cacheflush rate).
+    let spec = my_spec();
+    let workload = Workload::new(spec.clone(), clocking, config.seed);
 
     let trace_path = std::env::temp_dir().join("softwatt_txnbench.trace");
     let sim = Simulator::new(config.clone())?;
     let out = File::create(&trace_path).map_err(|e| e.to_string())?;
     let recording = Recording::new(workload, BufWriter::new(out)).map_err(|e| e.to_string())?;
-    let wide = sim.run_source(Box::new(recording), &warm, &premap, os);
+    let wide = sim.run_source(&spec, Box::new(recording));
     println!(
         "txnbench on 4-wide MXS: {} cycles, IPC {:.2}, idle {:.1}%",
         wide.cycles,
@@ -103,7 +98,7 @@ fn main() -> Result<(), String> {
     let narrow_sim = Simulator::new(config.clone())?;
     let input = File::open(&trace_path).map_err(|e| e.to_string())?;
     let reader = TraceReader::new(BufReader::new(input)).map_err(|e| e.to_string())?;
-    let narrow = narrow_sim.run_source(Box::new(reader), &warm, &premap, os);
+    let narrow = narrow_sim.run_source(&spec, Box::new(reader));
     println!(
         "same trace on single-issue: {} cycles, IPC {:.2} ({:.2}x slower)",
         narrow.cycles,

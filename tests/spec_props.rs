@@ -161,7 +161,7 @@ proptest! {
         prop_assert!(budget > 0);
 
         let sim = Simulator::new(config.clone()).expect("valid config");
-        let run = sim.run_spec(&spec);
+        let run = sim.run(&spec);
 
         prop_assert!(run.cycles > 0, "a run takes time");
         prop_assert!(run.committed > 0, "a run commits instructions");

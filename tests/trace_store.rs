@@ -144,17 +144,26 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The corruption quartet: truncation, bad magic, a flipped payload byte,
 /// and a stale format version each make the entry miss (and get deleted),
-/// after which the run falls back to a fresh simulation, succeeds, and
-/// repairs the entry — never an error.
+/// after which a fresh suite over the damaged store falls back to a fresh
+/// simulation, succeeds, and repairs the entry — never an error.
 #[test]
 fn corrupt_entries_fall_back_to_fresh_simulation() {
     let dir = scratch_dir("corrupt");
     let store = TraceStore::open(&dir).expect("open scratch store");
     let config = analytic_config(50_000.0);
-    let sim = Simulator::new(config.clone()).unwrap();
     let benchmark = Benchmark::Jess;
     let key = TraceKey::derive(&config, benchmark, config.cpu);
-    let direct = sim.run_benchmark(benchmark);
+    let direct = Simulator::new(config.clone())
+        .unwrap()
+        .run_benchmark(benchmark);
+    // Each run is a fresh suite (empty memo) over the shared store, so it
+    // resolves through the store tier exactly as a new process would.
+    let run_stored = || {
+        ExperimentSuite::new(config.clone())
+            .unwrap()
+            .with_trace_store(store.clone())
+            .run(benchmark, config.cpu, DiskSetup::Conventional)
+    };
 
     type Corruption = fn(&mut Vec<u8>);
     let corruptions: [(&str, Corruption); 4] = [
@@ -179,8 +188,8 @@ fn corrupt_entries_fall_back_to_fresh_simulation() {
     ];
     for (label, corrupt) in corruptions {
         // (Re)populate the entry, then damage it on disk.
-        let populated = sim.run_benchmark_stored(benchmark, &store);
-        assert_eq!(populated.cycles, direct.cycles, "{label}: populate");
+        let populated = run_stored();
+        assert_eq!(populated.run.cycles, direct.cycles, "{label}: populate");
         let path = store.entry_path(&key);
         let mut bytes = std::fs::read(&path).expect("read stored entry");
         corrupt(&mut bytes);
@@ -192,8 +201,8 @@ fn corrupt_entries_fall_back_to_fresh_simulation() {
         );
         assert!(!path.exists(), "{label}: a damaged entry must be deleted");
 
-        let recovered = sim.run_benchmark_stored(benchmark, &store);
-        assert_exact(&direct, &recovered, label);
+        let recovered = run_stored();
+        assert_exact(&direct, &recovered.run, label);
         assert!(
             store.load(&key).is_some(),
             "{label}: the fallback capture repairs the entry"
