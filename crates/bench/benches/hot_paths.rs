@@ -1,6 +1,7 @@
 //! Microbenches for the simulation core's hot loops: the per-cycle stats
 //! substrate, the MXS issue machinery, the L1 cache lookup, and the
-//! O(segments) trace replay. These isolate the paths the full-system
+//! O(segments + gaps) trace replay with and without power
+//! post-processing. These isolate the paths the full-system
 //! throughput bench (`simulator_throughput`) exercises in aggregate, so a
 //! regression can be localized without re-profiling the whole pipeline.
 
@@ -8,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use softwatt::{Benchmark, CpuModel, Simulator, SystemConfig};
+use softwatt::{Benchmark, CpuModel, PowerModel, Simulator, SystemConfig};
 use softwatt_cpu::{Cpu, MxsConfig, MxsCpu, VecSource};
 use softwatt_isa::mixgen::{MixGenerator, MixSpec};
 use softwatt_mem::{Cache, CacheGeometry, MemConfig, MemHierarchy};
@@ -103,19 +104,31 @@ fn bench_cache_lookup(c: &mut Criterion) {
 }
 
 fn bench_trace_replay(c: &mut Criterion) {
-    // The O(segments + samples) replay against a real captured trace: the
+    // The O(segments + gaps) replay against a real captured trace: the
     // path every non-conventional disk policy in the paper grid takes.
     let config = SystemConfig {
         cpu: CpuModel::Mxs,
         time_scale: 40_000.0,
         ..SystemConfig::default()
     };
-    let sim = Simulator::new(config).expect("valid");
+    let sim = Simulator::new(config.clone()).expect("valid");
     let (run, trace) = sim.run_benchmark_traced(Benchmark::Jess);
     let mut group = c.benchmark_group("replay");
     group.throughput(Throughput::Elements(run.cycles));
     group.bench_function("jess_trace", |b| {
         b.iter(|| std::hint::black_box(sim.replay_trace(&trace).cycles));
+    });
+    // One disk-policy result as the policy sweep times it: the replay
+    // plus both post-processing passes, which read the trace's memo of
+    // work-window energies after the first iteration fills it.
+    let model = PowerModel::new(&config.power_params());
+    group.bench_function("jess_trace_post", |b| {
+        b.iter(|| {
+            let run = sim.replay_trace(&trace);
+            let table = model.mode_table(&run.log);
+            let profile = model.profile(&run.log);
+            std::hint::black_box((table.total_energy_j(), profile.points.len()))
+        });
     });
     group.finish();
 }

@@ -42,7 +42,7 @@ fn bench_post_processing(c: &mut Criterion) {
         .run_benchmark(Benchmark::Jess);
     let model = PowerModel::new(&cfg.power_params());
     let mut group = c.benchmark_group("power_post_processing");
-    group.throughput(Throughput::Elements(run.log.samples().len() as u64));
+    group.throughput(Throughput::Elements(run.log.len() as u64));
     group.bench_function("profile_from_log", |b| {
         b.iter(|| std::hint::black_box(model.profile(&run.log).points.len()));
     });

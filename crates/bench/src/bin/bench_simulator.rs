@@ -86,7 +86,7 @@ fn run_profile(config: &SystemConfig) {
         "  power post  {:>9.3} ms   replay {:.3} ms ({} samples)",
         power_ns as f64 / 1e6,
         replay_ns as f64 / 1e6,
-        run.log.samples().len()
+        run.log.len()
     );
     let scans = stage("mxs.issue.scans");
     let entries = stage("mxs.issue.scan_entries");

@@ -287,10 +287,7 @@ fn write_log_csv(run: &RunResult, path: &str) -> Result<(), String> {
     run.log
         .to_csv(BufWriter::new(file))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
-        "wrote simulation log to {path} ({} samples)",
-        run.log.samples().len()
-    );
+    eprintln!("wrote simulation log to {path} ({} samples)", run.log.len());
     Ok(())
 }
 
@@ -359,7 +356,7 @@ fn cmd_post(args: &[String]) -> Result<(), String> {
     let table = model.mode_table(&log);
     println!(
         "{path}: {} samples, {} cycles ({:.2} paper-seconds)",
-        log.samples().len(),
+        log.len(),
         log.total_cycles(),
         log.clocking().cycles_to_paper_secs(log.total_cycles())
     );

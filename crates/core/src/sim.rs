@@ -6,7 +6,9 @@ use softwatt_isa::InstrSource;
 use softwatt_mem::MemHierarchy;
 use softwatt_os::{IdleLoop, KernelService, OsConfig, SystemOs};
 use softwatt_power::PowerModel;
-use softwatt_stats::{Mode, PerfTrace, ServiceProfiler, SimLog, StatsCollector, UnitEvent};
+use softwatt_stats::{
+    Mode, PerfTrace, Segments, ServiceProfiler, SimLog, StatsCollector, UnitEvent,
+};
 use softwatt_workloads::{Benchmark, BenchmarkSpec, Workload};
 
 use crate::config::{CpuModel, IdleHandling, SystemConfig};
@@ -279,14 +281,19 @@ impl Simulator {
         let (log, services) = stats.finish_with_services();
         let disk_report = os.into_disk().report(cycles);
         let trace = capture.then(|| {
-            let samples = log.samples();
+            // Copy the work windows into the trace's segments, leaving out
+            // each gap's windows `before..after`; the final segment runs
+            // to the end of the log.
+            let mut windows = log.windows();
             let mut segments = Vec::with_capacity(marks.len() + 1);
-            let mut start = 0usize;
-            for &(before, after) in &marks {
-                segments.push(samples[start..before].to_vec());
-                start = after;
+            let mut at = 0;
+            for &(before, after) in marks.iter().chain([&(log.len(), log.len())]) {
+                let mut segment = Vec::with_capacity(before - at);
+                segment.extend(windows.by_ref().take(before - at).map(|w| w.to_sample()));
+                segments.push(segment);
+                windows.by_ref().take(after - before).for_each(drop);
+                at = after;
             }
-            segments.push(samples[start..].to_vec());
             let mut work_services: Vec<_> = services
                 .aggregates()
                 .iter()
@@ -297,7 +304,7 @@ impl Simulator {
             let trace = PerfTrace {
                 clocking,
                 sample_interval: self.config.sample_interval_cycles,
-                segments,
+                segments: Segments::new(segments),
                 requests,
                 idle_rates: idle_rates
                     .as_ref()
@@ -358,11 +365,12 @@ impl Simulator {
             &trace.requests,
             trace.work_cycles,
         );
-        // O(segments + samples), not O(cycles): the capture invariants let
-        // the replay copy work samples and synthesize gap windows directly
-        // instead of ticking a collector through every cycle. Bit-identical
-        // to the collector-driven path (pinned by the stats crate's
-        // equivalence tests and `tests/replay_equivalence.rs`).
+        // O(segments + gaps), not O(cycles): the capture invariants let
+        // the replayed log share the trace's work windows and describe
+        // each gap analytically instead of ticking a collector through
+        // every cycle. Window-for-window equal to the collector-driven
+        // path (pinned by the stats crate's equivalence tests and
+        // `tests/replay_equivalence.rs`).
         let (log, mut services) = trace.fast_replay(
             &timeline.gaps,
             model.energy_weights(),

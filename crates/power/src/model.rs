@@ -280,11 +280,17 @@ impl PowerModel {
 
     /// Average power over a window (W), per group.
     pub fn window_power_w(&self, events: &CounterSet, cycles: u64) -> GroupPower {
+        self.average_power_w(&self.window_energy_j(events, cycles), cycles)
+    }
+
+    /// Average power of `energy` spent over `cycles` cycles (W), per
+    /// group; zero for an empty window.
+    pub(crate) fn average_power_w(&self, energy: &GroupPower, cycles: u64) -> GroupPower {
         if cycles == 0 {
             return GroupPower::new();
         }
         let secs = cycles as f64 / self.params.tech.freq_hz;
-        self.window_energy_j(events, cycles).scaled(1.0 / secs)
+        energy.scaled(1.0 / secs)
     }
 
     /// The validation experiment: CPU power with every unit operating at

@@ -1,8 +1,19 @@
 //! Post-processing of simulation logs into power profiles and per-mode
 //! tables — the paper's offline pipeline (Figure 1's "Analytical Power
 //! Models" stage).
+//!
+//! Logs replayed from one trace share its work windows (see
+//! [`softwatt_stats::Segments`]), and those windows' energies do not depend
+//! on the disk policy. The first post-processing call on such a log
+//! therefore computes every work window's energies once and keeps them in
+//! the trace block's memo slot, tagged with its power model; later calls
+//! with an equal model read them from there. An idle-gap run computes its
+//! first window and one event-free window per call. Every energy is
+//! `window_energy_j` of the same counts and cycles as before, folded in the
+//! same window and mode order, so every result is bit-identical to
+//! post-processing an owned copy of the log.
 
-use softwatt_stats::{Mode, SimLog};
+use softwatt_stats::{LogRun, Mode, SimLog, Window};
 
 use crate::group::GroupPower;
 use crate::model::PowerModel;
@@ -144,32 +155,39 @@ impl ModePowerTable {
     }
 }
 
+/// One window's energies (J): one entry per mode with cycles (zero for
+/// the others), then the whole window's.
+type WindowEnergies = [GroupPower; Mode::COUNT + 1];
+
+/// The memo a power model keeps in a trace block: every work window's
+/// energies, in block order, under the model that filled it.
+struct BlockMemo {
+    model: PowerModel,
+    windows: Vec<WindowEnergies>,
+}
+
 impl PowerModel {
     /// Replays a log into a time-resolved profile.
     pub fn profile(&self, log: &SimLog) -> PowerProfile {
         let clocking = log.clocking();
-        let points = log
-            .samples()
-            .iter()
-            .map(|s| {
-                let cycles = s.cycles();
-                let mut mode_power_w = [GroupPower::new(); Mode::COUNT];
-                for mode in Mode::ALL {
-                    let mc = s.mode_cycles[mode.index()];
-                    if mc > 0 {
-                        mode_power_w[mode.index()] = self.window_power_w(s.events.mode(mode), mc);
-                    }
+        let mut points = Vec::with_capacity(log.len());
+        self.for_each_window(log, true, |w, energy| {
+            let cycles = w.cycles();
+            let mut mode_power_w = [GroupPower::new(); Mode::COUNT];
+            for mode in Mode::ALL {
+                let mc = w.mode_cycles[mode.index()];
+                if mc > 0 {
+                    mode_power_w[mode.index()] = self.average_power_w(&energy[mode.index()], mc);
                 }
-                let window_power_w = self.window_power_w(&s.events.combined(), cycles);
-                ProfilePoint {
-                    t_end_s: clocking.cycles_to_paper_secs(s.end_cycle),
-                    cycles,
-                    mode_cycles: s.mode_cycles,
-                    mode_power_w,
-                    window_power_w,
-                }
-            })
-            .collect();
+            }
+            points.push(ProfilePoint {
+                t_end_s: clocking.cycles_to_paper_secs(w.end_cycle),
+                cycles,
+                mode_cycles: w.mode_cycles,
+                mode_power_w,
+                window_power_w: self.average_power_w(&energy[Mode::COUNT], cycles),
+            });
+        });
         PowerProfile { points }
     }
 
@@ -177,21 +195,116 @@ impl PowerModel {
     pub fn mode_table(&self, log: &SimLog) -> ModePowerTable {
         let mut mode_cycles = [0u64; Mode::COUNT];
         let mut mode_energy_j = [GroupPower::new(); Mode::COUNT];
-        for s in log.samples() {
+        self.for_each_window(log, false, |w, energy| {
             for mode in Mode::ALL {
-                let mc = s.mode_cycles[mode.index()];
+                let mc = w.mode_cycles[mode.index()];
                 if mc == 0 {
                     continue;
                 }
                 mode_cycles[mode.index()] += mc;
-                mode_energy_j[mode.index()].merge(&self.window_energy_j(s.events.mode(mode), mc));
+                mode_energy_j[mode.index()].merge(&energy[mode.index()]);
             }
-        }
+        });
         ModePowerTable {
             mode_cycles,
             mode_energy_j,
             freq_hz: self.params().tech.freq_hz,
         }
+    }
+
+    /// Calls `f` on every window of `log`, in order, with its energies.
+    /// Shared work windows read them from the block memo when this model
+    /// owns it. An idle gap's full windows after its first carry no events
+    /// ([`LogRun::IdleGap`]), so their energies are computed once per
+    /// call. Every other window computes them directly (the whole
+    /// window's entry only if `whole`).
+    fn for_each_window(
+        &self,
+        log: &SimLog,
+        whole: bool,
+        mut f: impl FnMut(&Window<'_>, &WindowEnergies),
+    ) {
+        let memo = self.block_memo(log);
+        let mut event_free: Option<WindowEnergies> = None;
+        for run in log.runs() {
+            match (run, memo) {
+                (LogRun::Segment { offset, .. }, Some(memo)) => {
+                    for (w, energy) in run.windows().zip(&memo[offset..]) {
+                        f(&w, energy);
+                    }
+                }
+                (LogRun::IdleGap { interval, .. }, _) => {
+                    for (j, w) in run.windows().enumerate() {
+                        if j > 0 && w.cycles() == interval {
+                            let energy =
+                                event_free.get_or_insert_with(|| self.window_energies(&w, whole));
+                            f(&w, energy);
+                        } else {
+                            f(&w, &self.window_energies(&w, whole));
+                        }
+                    }
+                }
+                (run, _) => {
+                    for w in run.windows() {
+                        f(&w, &self.window_energies(&w, whole));
+                    }
+                }
+            }
+        }
+    }
+
+    /// One window's energies, the whole window's only if `whole`.
+    fn window_energies(&self, w: &Window<'_>, whole: bool) -> WindowEnergies {
+        let mut out = [GroupPower::new(); Mode::COUNT + 1];
+        for mode in Mode::ALL {
+            let mc = w.mode_cycles[mode.index()];
+            if mc > 0 {
+                out[mode.index()] = self.window_energy_j(w.events.mode(mode), mc);
+            }
+        }
+        if whole {
+            out[Mode::COUNT] = self.window_energy_j(&w.events.combined(), w.cycles());
+        }
+        out
+    }
+
+    /// The energies of `log`'s shared work windows, in block order, if
+    /// this model owns the block's memo. The first call on a block fills
+    /// the memo and so owns it; a call with any other model gets `None`
+    /// and caches nothing. Counts the call once, at this boundary.
+    fn block_memo<'a>(&self, log: &'a SimLog) -> Option<&'a [WindowEnergies]> {
+        let Some(block) = log.shared() else {
+            count_post_call(false, false);
+            return None;
+        };
+        let mut filled = false;
+        let memo = block.memo().get_or_init(|| {
+            filled = true;
+            let windows = block
+                .samples()
+                .map(|s| self.window_energies(&s.window(), true))
+                .collect();
+            Box::new(BlockMemo {
+                model: self.clone(),
+                windows,
+            })
+        });
+        let owned = memo
+            .downcast_ref::<BlockMemo>()
+            .filter(|memo| memo.model == *self);
+        count_post_call(filled, owned.is_some() && !filled);
+        owned.map(|memo| &memo.windows[..])
+    }
+}
+
+/// Counts one `mode_table`/`profile` call, and whether it filled a block
+/// memo or was served from one: one flag check per call, never per window.
+fn count_post_call(filled: bool, served: bool) {
+    if softwatt_obs::enabled() {
+        use softwatt_obs::registry::counter;
+        counter("power.post_calls").add(1);
+        counter("power.memo_fills").add(u64::from(filled));
+        counter("power.memo_served").add(u64::from(served));
     }
 }
 
@@ -225,7 +338,7 @@ mod tests {
         let model = PowerModel::new(&PowerParams::default());
         let log = two_phase_log();
         let profile = model.profile(&log);
-        assert_eq!(profile.points.len(), log.samples().len());
+        assert_eq!(profile.points.len(), log.windows().count());
         assert!(profile.average_power_w() > 0.0);
     }
 

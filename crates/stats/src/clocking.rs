@@ -59,6 +59,14 @@ impl Clocking {
         Clocking { hz, scale }
     }
 
+    /// [`Clocking::scaled`] for values read from outside the process:
+    /// `None` instead of a panic when `hz` or `scale` is not strictly
+    /// positive and finite.
+    pub(crate) fn try_scaled(hz: f64, scale: f64) -> Option<Clocking> {
+        let valid = |v: f64| v.is_finite() && v > 0.0;
+        (valid(hz) && valid(scale)).then_some(Clocking { hz, scale })
+    }
+
     /// Clock frequency in Hz.
     #[inline]
     pub fn hz(&self) -> f64 {

@@ -123,7 +123,7 @@ impl StatsCollector {
 
     /// Number of samples emitted into the log so far.
     pub fn samples_emitted(&self) -> usize {
-        self.log.samples().len()
+        self.log.len()
     }
 
     /// Current software mode.
@@ -369,8 +369,8 @@ mod tests {
         }
         let log = s.finish();
         assert_eq!(log.total_cycles(), 37);
-        assert_eq!(log.samples().len(), 4); // 10+10+10+7
-        assert_eq!(log.samples()[3].cycles(), 7);
+        assert_eq!(log.len(), 4); // 10+10+10+7
+        assert_eq!(log.windows().nth(3).unwrap().cycles(), 7);
         assert_eq!(
             log.total_events().combined().get(UnitEvent::IcacheAccess),
             19
@@ -431,7 +431,7 @@ mod tests {
         let mut s = StatsCollector::new(Clocking::default(), 5);
         s.tick_n(10);
         let log = s.finish();
-        assert_eq!(log.samples().len(), 2);
+        assert_eq!(log.len(), 2);
     }
 
     #[test]
@@ -443,9 +443,10 @@ mod tests {
         assert_eq!(s.samples_emitted(), 1);
         s.tick_n(10);
         let log = s.finish();
-        assert_eq!(log.samples().len(), 2);
-        assert_eq!(log.samples()[0].cycles(), 3);
-        assert_eq!(log.samples()[1].cycles(), 10);
+        assert_eq!(log.len(), 2);
+        let cycles: Vec<u64> = log.windows().map(|w| w.cycles()).collect();
+        assert_eq!(cycles[0], 3);
+        assert_eq!(cycles[1], 10);
         assert_eq!(log.total_cycles(), 13);
     }
 
@@ -501,8 +502,8 @@ mod tests {
 
         // Replay every captured sample through a fresh collector.
         let mut b = StatsCollector::new(Clocking::default(), 10);
-        for sample in log_a.samples() {
-            b.replay_sample(sample);
+        for window in log_a.windows() {
+            b.replay_sample(&window.to_sample());
         }
         let log_b = b.finish();
         assert_eq!(log_a, log_b);

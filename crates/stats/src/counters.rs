@@ -21,7 +21,7 @@ pub struct CounterSet {
 
 impl CounterSet {
     /// Creates a zeroed counter set.
-    pub fn new() -> CounterSet {
+    pub const fn new() -> CounterSet {
         CounterSet {
             counts: [0; UnitEvent::COUNT],
         }
@@ -121,7 +121,7 @@ pub struct ModeCounters {
 
 impl ModeCounters {
     /// Creates zeroed counters for every mode.
-    pub fn new() -> ModeCounters {
+    pub const fn new() -> ModeCounters {
         ModeCounters {
             per_mode: [
                 CounterSet::new(),

@@ -43,6 +43,7 @@ pub mod hash;
 pub mod log;
 pub mod mode;
 pub mod replay;
+pub mod segments;
 pub mod service;
 pub mod swtrace;
 pub mod trace;
@@ -54,7 +55,8 @@ pub use clocking::Clocking;
 pub use collector::StatsCollector;
 pub use counters::{CounterSet, ModeCounters};
 pub use event::UnitEvent;
-pub use log::{Sample, SimLog};
+pub use log::{LogRun, RunWindows, Sample, SimLog, Window};
 pub use mode::Mode;
+pub use segments::Segments;
 pub use service::{EnergyWeights, InvocationRecord, ServiceAggregate, ServiceId, ServiceProfiler};
 pub use trace::{PerfTrace, TraceRequest};

@@ -1,4 +1,4 @@
-//! O(segments + samples) trace replay.
+//! O(segments + gaps) trace replay.
 //!
 //! The collector-driven replay path ([`crate::StatsCollector::replay_sample`]
 //! plus [`crate::StatsCollector::skip_idle_gap`]) re-executes every recorded
@@ -6,8 +6,8 @@
 //! That is pleasingly literal but costs O(samples × modes × events) for the
 //! work segments and allocates a fresh `ModeCounters` per emitted window.
 //!
-//! This module exploits the capture invariants to emit the *identical* log
-//! directly:
+//! This module exploits the capture invariants to build the *identical* log
+//! directly, without touching a sample:
 //!
 //! - The capture run flushes the sampling window at every disk-request
 //!   boundary (see [`crate::StatsCollector::flush_window`]), so the window
@@ -15,30 +15,33 @@
 //!   segment except possibly the last therefore spans exactly one full
 //!   sampling interval, and replaying a sample through a collector sitting
 //!   at offset zero reproduces it verbatim (same events, same mode cycles,
-//!   shifted `end_cycle`). We skip the collector and copy the sample.
+//!   shifted `end_cycle`). The replayed log therefore refers to each
+//!   segment of the trace's shared block at its new start cycle
+//!   ([`crate::SimLog`]'s segment runs) instead of copying it.
 //! - [`crate::StatsCollector::skip_idle_gap`] records all synthesized idle
 //!   events *before* ticking, so they land in the gap's first window; the
-//!   remaining windows are pure idle cycles with zero events. The residual
-//!   carry depends only on the `(gap, rates)` sequence, which we reproduce
-//!   exactly, in order.
+//!   remaining windows are pure idle cycles with zero events. A gap is
+//!   therefore one analytic run: its first window's events and its length.
+//!   The residual carry depends only on the `(gap, rates)` sequence, which
+//!   we reproduce exactly, in order.
 //! - The idle pseudo-service aggregate is a fold over the gaps in gap order
 //!   ([`crate::ServiceProfiler::exit`]); we perform the same fold on a local
 //!   aggregate and merge it in once. Floating-point addition order is
 //!   identical, so the sums are bit-identical.
 //!
-//! The result is bit-for-bit equal to the collector-driven path — the
+//! The result is window-for-window equal to the collector-driven path — the
 //! equivalence is pinned by a proptest in `crates/stats/tests/`.
 
 use crate::{
-    CounterSet, EnergyWeights, Mode, ModeCounters, PerfTrace, Sample, ServiceAggregate, ServiceId,
+    CounterSet, EnergyWeights, Mode, ModeCounters, PerfTrace, ServiceAggregate, ServiceId,
     ServiceProfiler, SimLog, UnitEvent,
 };
 
 impl PerfTrace {
     /// Reconstructs the replayed [`SimLog`] and idle-service profile for
     /// this trace under the given per-segment idle `gaps`, in
-    /// O(segments + samples emitted) time — without ticking a collector
-    /// through every cycle.
+    /// O(segments + gaps) time — the log shares the trace's work windows
+    /// and describes each gap by its first window's events and its length.
     ///
     /// `gaps[i]` is the blocked-idle stretch inserted after segment `i`
     /// (entries beyond `gaps.len()` are treated as absent, matching the
@@ -46,10 +49,15 @@ impl PerfTrace {
     /// rebuilt idle pseudo-service; the caller merges the trace's
     /// policy-independent work services on top, exactly as before.
     ///
-    /// Bit-identical to replaying every sample through
-    /// [`crate::StatsCollector::replay_sample`] and every gap through
-    /// [`crate::StatsCollector::skip_idle_gap`], then calling
+    /// Equal, window for window and bit for bit, to replaying every sample
+    /// through [`crate::StatsCollector::replay_sample`] and every gap
+    /// through [`crate::StatsCollector::skip_idle_gap`], then calling
     /// [`crate::StatsCollector::finish_with_services`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a trace that [`PerfTrace::validate`] rejects for a zero
+    /// sampling interval or an overflowing cycle total.
     pub fn fast_replay(
         &self,
         gaps: &[u64],
@@ -57,31 +65,33 @@ impl PerfTrace {
         idle_service: ServiceId,
     ) -> (SimLog, ServiceProfiler) {
         let interval = self.sample_interval;
+        assert!(
+            interval > 0,
+            "fast_replay needs a positive sampling interval"
+        );
+        if cfg!(debug_assertions) {
+            // Capture invariant: windows flush at segment boundaries, so
+            // only a segment's final sample may be shorter than the
+            // sampling interval. (A replay of a violating trace through
+            // the collector would merge samples across the short one and
+            // diverge; the invariant is what makes sharing the samples
+            // exact.)
+            for segment in self.segments.iter() {
+                let inner = &segment[..segment.len().saturating_sub(1)];
+                debug_assert!(
+                    inner.iter().all(|s| s.cycles() == interval),
+                    "mid-segment sample shorter than the sampling interval"
+                );
+            }
+        }
         let mut log = SimLog::new(self.clocking, interval);
         let mut cycle = 0u64;
         let mut idle_residual = [0.0f64; UnitEvent::COUNT];
         let mut idle_agg = ServiceAggregate::empty();
 
-        for (i, segment) in self.segments.iter().enumerate() {
-            for (j, sample) in segment.iter().enumerate() {
-                let len = sample.cycles();
-                // Capture invariant: windows flush at segment boundaries, so
-                // only a segment's final sample may be shorter than the
-                // sampling interval. (A replay of a violating trace through
-                // the collector would merge samples across the short one and
-                // diverge; the invariant is what makes the copy exact.)
-                debug_assert!(
-                    len == interval || j + 1 == segment.len(),
-                    "mid-segment sample shorter than the sampling interval"
-                );
-                debug_assert!(len > 0, "empty sample in trace segment");
-                cycle += len;
-                log.push(Sample {
-                    end_cycle: cycle,
-                    mode_cycles: sample.mode_cycles,
-                    events: sample.events.clone(),
-                });
-            }
+        for i in 0..self.segments.len() {
+            log.push_segment(&self.segments, i, cycle);
+            cycle += self.segments.segment_cycles(i);
             let Some(&gap) = gaps.get(i) else { continue };
             if gap == 0 {
                 continue;
@@ -106,27 +116,12 @@ impl PerfTrace {
             idle_agg.energy_sum_j += energy_j;
             idle_agg.energy_sumsq_j2 += energy_j * energy_j;
 
-            // Emit the gap's windows: all events land in the first (they
-            // are recorded before any tick); the rest are pure idle time.
-            let mut remaining = gap;
-            let mut first = true;
-            while remaining > 0 {
-                let step = remaining.min(interval);
-                remaining -= step;
-                cycle += step;
-                let mut mode_cycles = [0u64; Mode::COUNT];
-                mode_cycles[Mode::Idle.index()] = step;
-                let mut mc = ModeCounters::new();
-                if first {
-                    *mc.mode_mut(Mode::Idle) = events.clone();
-                    first = false;
-                }
-                log.push(Sample {
-                    end_cycle: cycle,
-                    mode_cycles,
-                    events: mc,
-                });
-            }
+            // The gap's windows: all events land in the first (they are
+            // recorded before any tick); the rest are pure idle time.
+            let mut first = ModeCounters::new();
+            *first.mode_mut(Mode::Idle) = events;
+            log.push_idle_gap(cycle, gap, first);
+            cycle += gap;
         }
 
         let mut profiler = ServiceProfiler::new(weights);
@@ -172,15 +167,14 @@ mod tests {
         }
         let work_cycles = stats.cycle();
         let log = stats.finish();
-        let samples = log.samples();
-        let split = samples
-            .iter()
-            .position(|s| s.end_cycle > boundary)
-            .unwrap_or(samples.len());
+        let (first, second) = log
+            .windows()
+            .map(|w| w.to_sample())
+            .partition(|s| s.end_cycle <= boundary);
         PerfTrace {
             clocking,
             sample_interval: interval,
-            segments: vec![samples[..split].to_vec(), samples[split..].to_vec()],
+            segments: vec![first, second].into(),
             requests: vec![crate::TraceRequest {
                 work_submit: boundary,
                 disk_offset: 0,
@@ -242,10 +236,11 @@ mod tests {
         let gaps = vec![3u64, 5];
         let mut trace2 = trace.clone();
         trace2.segments = vec![
-            trace.segments[0].clone(),
+            trace.segments.get(0).to_vec(),
             Vec::new(),
-            trace.segments[1].clone(),
-        ];
+            trace.segments.get(1).to_vec(),
+        ]
+        .into();
         trace2.requests = vec![
             trace.requests[0],
             crate::TraceRequest {

@@ -1,0 +1,184 @@
+//! The work windows of a captured trace, stored once and shared.
+//!
+//! A [`crate::PerfTrace`] keeps its work samples in one immutable block
+//! behind an [`Arc`]. Every log replayed from the trace refers to the
+//! block's segments in place instead of copying them ([`crate::SimLog`]'s
+//! segment runs), so a replay costs O(segments + gaps) however many samples
+//! the trace holds. The segment offsets and cycle totals are computed
+//! once, when the block is built, which keeps
+//! [`crate::PerfTrace::validate`] O(requests).
+//!
+//! Each segment keeps its own sample vector rather than one flat vector
+//! for the whole trace: a decoder fills vectors of a segment's size, which
+//! the allocator recycles from load to load, where a single trace-sized
+//! vector would be mapped, and page-faulted in, afresh on every load.
+//!
+//! The block also carries one write-once memo slot for a post-processor
+//! (the power crate keeps each work window's energies there), so results
+//! derived from the windows are computed once per trace rather than once
+//! per replayed log.
+
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+use crate::Sample;
+
+/// The type-erased, write-once memo slot of a [`Segments`] block.
+pub type MemoSlot = OnceLock<Box<dyn Any + Send + Sync>>;
+
+/// A trace's work samples split into segments at request boundaries,
+/// stored once in an immutable shared block. Cloning is an [`Arc`] clone.
+///
+/// # Examples
+///
+/// ```
+/// use softwatt_stats::{Mode, ModeCounters, Sample, Segments};
+///
+/// let sample = |cycles| {
+///     let mut mode_cycles = [0; Mode::COUNT];
+///     mode_cycles[Mode::User.index()] = cycles;
+///     Sample { end_cycle: cycles, mode_cycles, events: ModeCounters::new() }
+/// };
+/// let segments = Segments::new(vec![vec![sample(10), sample(4)], vec![], vec![sample(7)]]);
+/// assert_eq!(segments.len(), 3);
+/// assert_eq!(segments.get(0).len(), 2);
+/// assert!(segments.get(1).is_empty());
+/// assert_eq!(segments.samples().count(), 3);
+/// ```
+#[derive(Clone)]
+pub struct Segments(Arc<Block>);
+
+struct Block {
+    segments: Vec<Vec<Sample>>,
+    /// `offsets[i]` counts the samples of the segments before `i`.
+    offsets: Vec<usize>,
+    /// Work cycles up to the end of each segment (cumulative); `None`
+    /// when a sum overflows `u64`.
+    cycle_ends: Option<Vec<u64>>,
+    has_empty_sample: bool,
+    memo: MemoSlot,
+}
+
+impl Segments {
+    /// Builds the block from one sample vector per segment.
+    pub fn new(segments: Vec<Vec<Sample>>) -> Segments {
+        let mut offsets = Vec::with_capacity(segments.len());
+        let mut cycle_ends = Some(Vec::with_capacity(segments.len()));
+        let mut has_empty_sample = false;
+        let mut offset = 0;
+        let mut total = 0u64;
+        for segment in &segments {
+            offsets.push(offset);
+            offset += segment.len();
+            for s in segment {
+                let cycles = s
+                    .mode_cycles
+                    .iter()
+                    .try_fold(0u64, |sum, &c| sum.checked_add(c));
+                has_empty_sample |= cycles == Some(0);
+                match cycles.and_then(|c| total.checked_add(c)) {
+                    Some(t) => total = t,
+                    None => cycle_ends = None,
+                }
+            }
+            if let Some(ends) = &mut cycle_ends {
+                ends.push(total);
+            }
+        }
+        Segments(Arc::new(Block {
+            segments,
+            offsets,
+            cycle_ends,
+            has_empty_sample,
+            memo: OnceLock::new(),
+        }))
+    }
+
+    /// Number of segments.
+    pub fn len(&self) -> usize {
+        self.0.segments.len()
+    }
+
+    /// Whether the block has no segments at all.
+    pub fn is_empty(&self) -> bool {
+        self.0.segments.is_empty()
+    }
+
+    /// The samples of segment `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> &[Sample] {
+        &self.0.segments[i]
+    }
+
+    /// Iterates over the segments in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Sample]> + '_ {
+        self.0.segments.iter().map(Vec::as_slice)
+    }
+
+    /// Every sample of every segment, in order.
+    pub fn samples(&self) -> impl Iterator<Item = &Sample> + '_ {
+        self.0.segments.iter().flatten()
+    }
+
+    /// Position of segment `i`'s first sample in [`Segments::samples`].
+    pub(crate) fn offset(&self, i: usize) -> usize {
+        self.0.offsets[i]
+    }
+
+    /// Total cycles over all samples, or `None` if the sum overflows.
+    pub(crate) fn cycles(&self) -> Option<u64> {
+        let ends = self.0.cycle_ends.as_ref()?;
+        Some(ends.last().copied().unwrap_or(0))
+    }
+
+    /// Cycles covered by segment `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()` or the cycle total overflows (which
+    /// [`crate::PerfTrace::validate`] rejects).
+    pub(crate) fn segment_cycles(&self, i: usize) -> u64 {
+        let ends = self.0.cycle_ends.as_ref().expect("cycle total fits u64");
+        ends[i] - if i == 0 { 0 } else { ends[i - 1] }
+    }
+
+    /// Whether some sample covers zero cycles (the collector never emits
+    /// one).
+    pub(crate) fn has_empty_sample(&self) -> bool {
+        self.0.has_empty_sample
+    }
+
+    /// The block's write-once memo slot. The first consumer to fill it
+    /// owns it; the slot lives as long as the block and is never part of
+    /// equality or serialization.
+    pub fn memo(&self) -> &MemoSlot {
+        &self.0.memo
+    }
+
+    /// Whether `self` and `other` are the same shared block.
+    pub(crate) fn ptr_eq(&self, other: &Segments) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl PartialEq for Segments {
+    fn eq(&self, other: &Segments) -> bool {
+        self.ptr_eq(other) || self.0.segments == other.0.segments
+    }
+}
+
+impl fmt::Debug for Segments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.segments.fmt(f)
+    }
+}
+
+impl From<Vec<Vec<Sample>>> for Segments {
+    fn from(segments: Vec<Vec<Sample>>) -> Segments {
+        Segments::new(segments)
+    }
+}

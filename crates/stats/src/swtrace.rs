@@ -45,7 +45,8 @@ use std::io::{self, Read, Write};
 
 use crate::hash::fnv1a;
 use crate::{
-    Mode, ModeCounters, PerfTrace, Sample, ServiceAggregate, ServiceId, TraceRequest, UnitEvent,
+    Mode, ModeCounters, PerfTrace, Sample, Segments, ServiceAggregate, ServiceId, TraceRequest,
+    UnitEvent,
 };
 
 /// File magic: identifies a `swtrace` file of any version.
@@ -62,6 +63,16 @@ const SEC_IDLERATES: u8 = 0x04;
 const SEC_SERVICES: u8 = 0x05;
 const SEC_SEGMENTS: u8 = 0x06;
 const SEC_END: u8 = 0x00;
+
+// The fewest bytes one entry of each section can take (every varint takes
+// at least one byte, every float eight). Reservations are capped by what
+// the remaining bytes could encode, so a count claimed by a short (even
+// checksum-valid) input never turns into a large allocation.
+const MIN_REQUEST_BYTES: usize = 3;
+const MIN_IDLE_RATE_BYTES: usize = 1 + 8;
+const MIN_SERVICE_BYTES: usize = 3 + 2 * 8 + UnitEvent::COUNT;
+const MIN_SEGMENT_BYTES: usize = 1;
+const MIN_SAMPLE_BYTES: usize = 1 + Mode::COUNT + Mode::COUNT * UnitEvent::COUNT;
 
 use crate::varint::{put_varint, put_zigzag, unzigzag};
 
@@ -121,6 +132,13 @@ impl<'a> Cursor<'a> {
 
     fn done(&self) -> bool {
         self.pos == self.data.len()
+    }
+
+    /// Capacity to reserve for `count` entries of at least `min_bytes`
+    /// each: no more than the unread bytes could hold.
+    fn capacity(&self, count: u64, min_bytes: usize) -> usize {
+        let fit = (self.data.len() - self.pos) / min_bytes;
+        usize::try_from(count).map_or(fit, |n| n.min(fit))
     }
 }
 
@@ -193,7 +211,7 @@ impl PerfTrace {
         payload.clear();
         put_varint(&mut payload, self.segments.len() as u64);
         let mut prev_end = 0i64;
-        for segment in &self.segments {
+        for segment in self.segments.iter() {
             put_varint(&mut payload, segment.len() as u64);
             for s in segment {
                 put_zigzag(&mut payload, s.end_cycle as i64 - prev_end);
@@ -267,8 +285,8 @@ impl PerfTrace {
         };
 
         let mut header = expect(SEC_HEADER)?;
-        let hz = header.f64()?;
-        let scale = header.f64()?;
+        let clocking = crate::Clocking::try_scaled(header.f64()?, header.f64()?)
+            .ok_or_else(|| bad("swtrace clock rate and time scale must be positive and finite"))?;
         let sample_interval = header.varint()?;
         let work_cycles = header.varint()?;
         let committed = header.varint()?;
@@ -281,7 +299,7 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_REQUESTS)?;
         let count = sec.varint()?;
-        let mut requests = Vec::with_capacity(count.min(1 << 20) as usize);
+        let mut requests = Vec::with_capacity(sec.capacity(count, MIN_REQUEST_BYTES));
         let mut prev_submit = 0u64;
         for _ in 0..count {
             let work_submit = prev_submit
@@ -300,7 +318,7 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_IDLERATES)?;
         let count = sec.varint()?;
-        let mut idle_rates = Vec::with_capacity(count.min(1 << 16) as usize);
+        let mut idle_rates = Vec::with_capacity(sec.capacity(count, MIN_IDLE_RATE_BYTES));
         for _ in 0..count {
             let index = sec.varint()? as usize;
             if index >= UnitEvent::COUNT {
@@ -314,7 +332,7 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_SERVICES)?;
         let count = sec.varint()?;
-        let mut work_services = Vec::with_capacity(count.min(1 << 16) as usize);
+        let mut work_services = Vec::with_capacity(sec.capacity(count, MIN_SERVICE_BYTES));
         for _ in 0..count {
             let id = sec.varint()?;
             let service = ServiceId(
@@ -337,11 +355,11 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_SEGMENTS)?;
         let seg_count = sec.varint()?;
-        let mut segments = Vec::with_capacity(seg_count.min(1 << 20) as usize);
+        let mut segments = Vec::with_capacity(sec.capacity(seg_count, MIN_SEGMENT_BYTES));
         let mut prev_end = 0i64;
         for _ in 0..seg_count {
             let sample_count = sec.varint()?;
-            let mut segment = Vec::with_capacity(sample_count.min(1 << 20) as usize);
+            let mut segment = Vec::with_capacity(sec.capacity(sample_count, MIN_SAMPLE_BYTES));
             for _ in 0..sample_count {
                 let end = prev_end
                     .checked_add(sec.zigzag()?)
@@ -379,9 +397,9 @@ impl PerfTrace {
         }
 
         let trace = PerfTrace {
-            clocking: crate::Clocking::scaled(hz, scale),
+            clocking,
             sample_interval,
-            segments,
+            segments: Segments::new(segments),
             requests,
             idle_rates,
             work_services,
@@ -425,7 +443,7 @@ mod tests {
         PerfTrace {
             clocking: Clocking::scaled(200.0e6, 2000.0),
             sample_interval: 100,
-            segments: vec![vec![sample(100, 100, 40)], vec![sample(300, 60, 7)]],
+            segments: vec![vec![sample(100, 100, 40)], vec![sample(300, 60, 7)]].into(),
             requests: vec![TraceRequest {
                 work_submit: 100,
                 disk_offset: 4096,
@@ -522,6 +540,59 @@ mod tests {
         }
     }
 
+    /// The trace's encoding with the header's `hz`, `scale` and
+    /// `sample_interval` replaced and the checksum recomputed.
+    fn patched_header(hz: f64, scale: f64, interval: u8) -> Vec<u8> {
+        let mut buf = encode(&trace(), b"");
+        // magic, version, section tag, section length, then the header.
+        let at = SWTRACE_MAGIC.len() + 3;
+        buf[at..at + 8].copy_from_slice(&hz.to_bits().to_le_bytes());
+        buf[at + 8..at + 16].copy_from_slice(&scale.to_bits().to_le_bytes());
+        assert_eq!(buf[at + 16], 100, "single-byte interval varint");
+        buf[at + 16] = interval;
+        let len = buf.len();
+        let sum = fnv1a(&buf[..len - 8]);
+        buf[len - 8..].copy_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn unpatched_header_still_decodes() {
+        assert!(PerfTrace::from_binary(&patched_header(200.0e6, 2000.0, 100)[..]).is_ok());
+    }
+
+    #[test]
+    fn zero_clock_rate_is_rejected() {
+        let err = PerfTrace::from_binary(&patched_header(0.0, 2000.0, 100)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn nan_or_non_positive_scale_is_rejected() {
+        for scale in [f64::NAN, -2000.0, 0.0, f64::INFINITY] {
+            let err = PerfTrace::from_binary(&patched_header(200.0e6, scale, 100)[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "scale {scale}");
+        }
+    }
+
+    #[test]
+    fn zero_sample_interval_is_rejected() {
+        let err = PerfTrace::from_binary(&patched_header(200.0e6, 2000.0, 0)[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn zero_cycle_sample_is_rejected() {
+        let mut t = trace();
+        t.segments = vec![
+            vec![sample(100, 100, 40), sample(100, 0, 3)],
+            vec![sample(300, 60, 7)],
+        ]
+        .into();
+        let err = PerfTrace::from_binary(&encode(&t, b"")[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
     #[test]
     fn both_readers_reject_non_monotone_requests() {
         let mut t = trace();
@@ -537,7 +608,7 @@ mod tests {
                 bytes: 1,
             },
         ];
-        t.segments.push(Vec::new());
+        t.segments = vec![vec![sample(100, 100, 40)], vec![], vec![sample(300, 60, 7)]].into();
         assert!(t.validate().is_err());
         // The CSV writer will happily emit it (serializers don't judge)…
         let mut csv = Vec::new();

@@ -10,7 +10,8 @@
 //!
 //! - the sampled log, split into *segments* at disk-request completion
 //!   boundaries (samples inside a segment contain only work — blocked
-//!   stretches are excluded and rebuilt per policy);
+//!   stretches are excluded and rebuilt per policy), stored once in a
+//!   shared [`Segments`] block that every replayed log reads in place;
 //! - the disk request stream in *work-relative* time (cycles of committed
 //!   work before each submission), so requests can be re-anchored under
 //!   re-timed gaps;
@@ -24,7 +25,9 @@
 
 use std::io::{self, BufRead, Write};
 
-use crate::{Clocking, Mode, ModeCounters, Sample, ServiceAggregate, ServiceId, UnitEvent};
+use crate::{
+    Clocking, Mode, ModeCounters, Sample, Segments, ServiceAggregate, ServiceId, UnitEvent,
+};
 
 /// One disk request in work-relative time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +49,10 @@ pub struct PerfTrace {
     pub clocking: Clocking,
     /// Sampling window length in cycles.
     pub sample_interval: u64,
-    /// Work samples split at request boundaries: `segments[i]` holds the
-    /// samples between request `i-1`'s completion and request `i`'s
+    /// Work samples split at request boundaries: `segments.get(i)` holds
+    /// the samples between request `i-1`'s completion and request `i`'s
     /// (`segments.len() == requests.len() + 1`).
-    pub segments: Vec<Vec<Sample>>,
+    pub segments: Segments,
     /// The disk request stream in work-relative time.
     pub requests: Vec<TraceRequest>,
     /// Measured per-cycle idle event rates (paper §3.3).
@@ -66,16 +69,24 @@ pub struct PerfTrace {
 }
 
 impl PerfTrace {
-    /// Checks cross-section invariants (segment/request correspondence,
-    /// monotone work offsets). Both deserializers — [`PerfTrace::from_csv`]
-    /// and the binary [`PerfTrace::from_binary`] — run this same check, so
-    /// a hand-edited CSV can never construct a trace the binary codec
-    /// would reject, and vice versa.
+    /// Checks cross-section invariants (a positive sampling interval,
+    /// non-empty samples, segment/request correspondence, monotone work
+    /// offsets). Both deserializers — [`PerfTrace::from_csv`] and the
+    /// binary [`PerfTrace::from_binary`] — run this same check, so a
+    /// hand-edited CSV can never construct a trace the binary codec would
+    /// reject, and vice versa. O(requests): the segment block's cycle
+    /// totals were computed when it was built.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        if self.sample_interval == 0 {
+            return Err("trace has a zero sampling interval".to_string());
+        }
+        if self.segments.has_empty_sample() {
+            return Err("trace has a sample covering zero cycles".to_string());
+        }
         if self.segments.len() != self.requests.len() + 1 {
             return Err(format!(
                 "trace has {} segments for {} requests (want requests + 1)",
@@ -83,7 +94,9 @@ impl PerfTrace {
                 self.requests.len()
             ));
         }
-        let sampled: u64 = self.segments.iter().flatten().map(Sample::cycles).sum();
+        let Some(sampled) = self.segments.cycles() else {
+            return Err("segment sample cycles overflow u64".to_string());
+        };
         if sampled != self.work_cycles {
             return Err(format!(
                 "segment samples cover {sampled} cycles but the trace claims {} work cycles",
@@ -148,7 +161,7 @@ impl PerfTrace {
             }
             writeln!(w)?;
         }
-        for segment in &self.segments {
+        for segment in self.segments.iter() {
             writeln!(w, "G")?;
             for s in segment {
                 write!(w, "S,{}", s.end_cycle)?;
@@ -206,18 +219,14 @@ impl PerfTrace {
         else {
             return Err(bad("incomplete perftrace header"));
         };
+        let clocking = Clocking::try_scaled(hz, scale).ok_or_else(|| {
+            bad("perftrace clock rate and time scale must be positive and finite")
+        })?;
 
-        let mut trace = PerfTrace {
-            clocking: Clocking::scaled(hz, scale),
-            sample_interval: interval,
-            segments: Vec::new(),
-            requests: Vec::new(),
-            idle_rates: Vec::new(),
-            work_services: Vec::new(),
-            work_cycles,
-            committed,
-            user_instrs,
-        };
+        let mut requests = Vec::new();
+        let mut idle_rates = Vec::new();
+        let mut work_services = Vec::new();
+        let mut segments: Vec<Vec<Sample>> = Vec::new();
         let parse_u64 = |s: Option<&str>| -> io::Result<u64> {
             s.ok_or_else(|| bad("short row"))?
                 .parse()
@@ -235,7 +244,7 @@ impl PerfTrace {
             }
             let mut fields = line.split(',');
             match fields.next() {
-                Some("R") => trace.requests.push(TraceRequest {
+                Some("R") => requests.push(TraceRequest {
                     work_submit: parse_u64(fields.next())?,
                     disk_offset: parse_u64(fields.next())?,
                     bytes: parse_u64(fields.next())?,
@@ -246,7 +255,7 @@ impl PerfTrace {
                         return Err(bad("idle-rate event index out of range"));
                     }
                     let rate = parse_f64_bits(fields.next())?;
-                    trace.idle_rates.push((UnitEvent::from_index(index), rate));
+                    idle_rates.push((UnitEvent::from_index(index), rate));
                 }
                 Some("W") => {
                     let service = ServiceId(
@@ -262,9 +271,9 @@ impl PerfTrace {
                     for e in UnitEvent::ALL {
                         agg.events.add(e, parse_u64(fields.next())?);
                     }
-                    trace.work_services.push((service, agg));
+                    work_services.push((service, agg));
                 }
-                Some("G") => trace.segments.push(Vec::new()),
+                Some("G") => segments.push(Vec::new()),
                 Some("S") => {
                     let end_cycle = parse_u64(fields.next())?;
                     let mut mode_cycles = [0u64; Mode::COUNT];
@@ -277,8 +286,7 @@ impl PerfTrace {
                             events.mode_mut(m).add(e, parse_u64(fields.next())?);
                         }
                     }
-                    let segment = trace
-                        .segments
+                    let segment = segments
                         .last_mut()
                         .ok_or_else(|| bad("sample row before any segment marker"))?;
                     segment.push(Sample {
@@ -290,6 +298,17 @@ impl PerfTrace {
                 _ => return Err(bad("unknown row tag")),
             }
         }
+        let trace = PerfTrace {
+            clocking,
+            sample_interval: interval,
+            segments: Segments::new(segments),
+            requests,
+            idle_rates,
+            work_services,
+            work_cycles,
+            committed,
+            user_instrs,
+        };
         // Same cross-section validation as the binary reader (swtrace.rs):
         // the two formats accept exactly the same set of traces.
         trace
@@ -328,7 +347,7 @@ mod tests {
         PerfTrace {
             clocking: Clocking::scaled(200.0e6, 2000.0),
             sample_interval: 100,
-            segments: vec![vec![sample(100, 100, 40)], vec![sample(300, 60, 7)]],
+            segments: vec![vec![sample(100, 100, 40)], vec![sample(300, 60, 7)]].into(),
             requests: vec![TraceRequest {
                 work_submit: 100,
                 disk_offset: 4096,
@@ -364,7 +383,7 @@ mod tests {
     #[test]
     fn validate_rejects_segment_mismatch() {
         let mut t = trace();
-        t.segments.pop();
+        t.segments = vec![vec![sample(100, 100, 40)]].into();
         assert!(t.validate().is_err());
     }
 
@@ -373,6 +392,63 @@ mod tests {
         let mut t = trace();
         t.work_cycles += 1;
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_interval() {
+        let mut t = trace();
+        t.sample_interval = 0;
+        assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_cycle_sample() {
+        let mut t = trace();
+        t.segments = vec![
+            vec![sample(100, 100, 40), sample(100, 0, 0)],
+            vec![sample(160, 60, 7)],
+        ]
+        .into();
+        assert!(t.validate().is_err());
+    }
+
+    /// The trace's CSV with its header line replaced.
+    fn csv_with_header(header: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        trace().to_csv(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        format!("{header}\n{}", text.split_once('\n').unwrap().1).into_bytes()
+    }
+
+    #[test]
+    fn from_csv_rejects_a_zero_clock_rate() {
+        let csv = csv_with_header(
+            "# softwatt perftrace v1 hz=0 scale=2000 interval=100 work_cycles=160 \
+             committed=140 user_instrs=120",
+        );
+        let err = PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn from_csv_rejects_a_nan_or_non_positive_scale() {
+        for scale in ["NaN", "-1", "0"] {
+            let csv = csv_with_header(&format!(
+                "# softwatt perftrace v1 hz=200000000 scale={scale} interval=100 \
+                 work_cycles=160 committed=140 user_instrs=120"
+            ));
+            let err = PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "scale={scale}");
+        }
+    }
+
+    #[test]
+    fn from_csv_rejects_a_zero_interval() {
+        let csv = csv_with_header(
+            "# softwatt perftrace v1 hz=200000000 scale=2000 interval=0 work_cycles=160 \
+             committed=140 user_instrs=120",
+        );
+        assert!(PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ proptest! {
             prop_assert_eq!(totals.mode(mode).get(event), n, "{}/{}", mode, event);
         }
         // Sample windows never exceed the interval.
-        for s in log.samples() {
+        for s in log.windows() {
             prop_assert!(s.cycles() <= interval);
         }
     }
@@ -121,8 +121,8 @@ proptest! {
         }
         let bulk_log = bulk.finish();
         let single_log = single.finish();
-        prop_assert_eq!(bulk_log.samples().len(), single_log.samples().len());
-        for (a, b) in bulk_log.samples().iter().zip(single_log.samples()) {
+        prop_assert_eq!(bulk_log.len(), single_log.len());
+        for (a, b) in bulk_log.windows().zip(single_log.windows()) {
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(bulk_log, single_log);
@@ -196,7 +196,7 @@ proptest! {
         prop_assert_eq!(batched.finish(), single.finish());
     }
 
-    /// The O(segments + samples) replay reconstruction is bit-identical to
+    /// The O(segments + gaps) replay reconstruction is bit-identical to
     /// driving every sample and gap through the collector, on arbitrary
     /// capture-shaped traces, gap schedules, and fractional idle rates.
     /// (The targeted cases live in `softwatt_stats::replay`'s unit tests;
@@ -242,7 +242,7 @@ proptest! {
 
         // Split the sampled log into per-segment runs at the boundaries.
         let mut samples: std::collections::VecDeque<Sample> =
-            log.samples().iter().cloned().collect();
+            log.windows().map(|w| w.to_sample()).collect();
         let segments: Vec<Vec<Sample>> = boundaries
             .iter()
             .map(|&b| {
@@ -261,7 +261,7 @@ proptest! {
         let trace = PerfTrace {
             clocking: Clocking::default(),
             sample_interval: interval,
-            segments,
+            segments: segments.into(),
             requests,
             idle_rates,
             work_services: Vec::new(),

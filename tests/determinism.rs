@@ -27,7 +27,7 @@ fn identical_configs_give_identical_runs() {
         assert_eq!(a.cycles, b.cycles, "{benchmark}");
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.log.total_events(), b.log.total_events());
-        assert_eq!(a.log.samples().len(), b.log.samples().len());
+        assert_eq!(a.log.windows().count(), b.log.windows().count());
         assert!((a.disk.energy_j - b.disk.energy_j).abs() < 1e-12);
     }
 }

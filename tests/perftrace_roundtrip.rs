@@ -34,7 +34,7 @@ fn samples(interval: u64, steps: &[(Mode, UnitEvent, u64)]) -> Vec<Sample> {
         stats.record_n(event, n);
         stats.tick();
     }
-    stats.finish().samples().to_vec()
+    stats.finish().windows().map(|w| w.to_sample()).collect()
 }
 
 /// Raw request material: (submit-time delta, disk offset, bytes). The test
@@ -114,7 +114,7 @@ proptest! {
         let trace = PerfTrace {
             clocking: Clocking::scaled(200.0e6, scale),
             sample_interval: interval,
-            segments,
+            segments: segments.into(),
             requests,
             idle_rates,
             work_services,
@@ -149,7 +149,7 @@ proptest! {
         let trace = PerfTrace {
             clocking: Clocking::scaled(hz, scale),
             sample_interval: 1,
-            segments: vec![Vec::new()],
+            segments: vec![Vec::new()].into(),
             requests: Vec::new(),
             idle_rates: Vec::new(),
             work_services: Vec::new(),

@@ -1,15 +1,20 @@
 //! Replay-equivalence tests: the log-once / replay-many engine must
 //! reproduce a direct simulation EXACTLY — same sampled log, same mode
-//! cycles, same counters, same disk report, same service profile, with no
-//! tolerance. `EXPERIMENTS.md` cites these tests as the evidence that
-//! F7/F9/F10 artifacts derived by replay equal fully-simulated ones.
+//! cycles, same counters, same disk report, same service profile, and the
+//! same power post-processing, with no tolerance. `EXPERIMENTS.md` cites
+//! these tests as the evidence that F7/F9/F10 artifacts derived by replay
+//! equal fully-simulated ones.
+
+use std::io::BufReader;
 
 use proptest::prelude::*;
 
 use softwatt::experiments::ExperimentSuite;
 use softwatt::{
-    Benchmark, DiskConfig, DiskPolicy, IdleHandling, RunResult, Simulator, SystemConfig,
+    Benchmark, DiskConfig, DiskPolicy, IdleHandling, Mode, PowerModel, PowerParams, RunResult,
+    SimLog, Simulator, SystemConfig, UnitGroup,
 };
+use softwatt_power::ClockGating;
 
 const POLICIES: [DiskPolicy; 4] = [
     DiskPolicy::Conventional,
@@ -58,6 +63,31 @@ fn assert_exact(direct: &RunResult, replayed: &RunResult, label: &str) {
     );
 }
 
+/// Bit-for-bit equality of two post-processings: every mode × group of
+/// the mode tables by bit pattern, and the profiles point for point.
+fn assert_same_post(a: (&PowerModel, &SimLog), b: (&PowerModel, &SimLog), label: &str) {
+    let (ta, tb) = (a.0.mode_table(a.1), b.0.mode_table(b.1));
+    assert_eq!(ta.mode_cycles, tb.mode_cycles, "{label}: mode cycles");
+    assert_eq!(ta.freq_hz.to_bits(), tb.freq_hz.to_bits(), "{label}: clock");
+    for mode in Mode::ALL {
+        for group in UnitGroup::ALL {
+            assert_eq!(
+                ta.mode_energy_j[mode.index()].get(group).to_bits(),
+                tb.mode_energy_j[mode.index()].get(group).to_bits(),
+                "{label}: {mode}/{group} energy"
+            );
+        }
+    }
+    assert!(a.0.profile(a.1) == b.0.profile(b.1), "{label}: profile");
+}
+
+/// The log as an owned copy: read back from its CSV.
+fn owned_copy(log: &SimLog) -> SimLog {
+    let mut csv = Vec::new();
+    log.to_csv(&mut csv).unwrap();
+    SimLog::from_csv(BufReader::new(&csv[..])).unwrap()
+}
+
 /// Cross-policy equivalence over the full paper grid: a suite that derives
 /// every bundle by replay produces, for EVERY grid key, exactly the bundle
 /// a full-simulation suite produces — while executing at most one full
@@ -93,7 +123,84 @@ fn every_grid_key_replays_to_the_directly_simulated_bundle() {
         let b = replaying.run_key(key);
         assert_eq!(a.run.benchmark, b.run.benchmark, "{key:?}");
         assert_exact(&a.run, &b.run, &format!("{key:?}"));
+        // The replayed bundles of one trace share its work windows, so
+        // every key after a trace's first post-processes from the
+        // trace's memo; the direct bundles compute every window.
+        assert_eq!(a.model, b.model, "{key:?}: power model");
+        assert_same_post(
+            (&a.model, &a.run.log),
+            (&b.model, &b.run.log),
+            &format!("{key:?}"),
+        );
     }
+}
+
+/// Whichever power model post-processes a trace's logs first owns the
+/// trace's memo; every other model computes directly. Either way each
+/// result equals the same model applied to an owned copy of the log.
+#[test]
+fn post_processing_is_independent_of_which_model_fills_the_memo() {
+    let config = analytic_config(40_000.0, 7, DiskPolicy::Standby { threshold_s: 2.0 });
+    let sim = Simulator::new(config.clone()).unwrap();
+    let (_, trace) = sim.run_benchmark_traced(Benchmark::Compress);
+    let replayed = sim.replay_trace(&trace);
+    let owned = owned_copy(&replayed.log);
+    let paper = PowerModel::new(&config.power_params());
+    let cc1 = PowerModel::new(&PowerParams {
+        gating: ClockGating::AlwaysOn,
+        ..config.power_params()
+    });
+    for (step, model) in [("CC1", &cc1), ("paper", &paper), ("CC1 again", &cc1)] {
+        assert_same_post((model, &replayed.log), (model, &owned), step);
+    }
+    // A second replay of the same trace reads the memo CC1 filled.
+    let again = sim.replay_trace(&trace);
+    assert_same_post((&cc1, &again.log), (&cc1, &owned), "CC1 on a second replay");
+    assert_same_post(
+        (&paper, &again.log),
+        (&paper, &owned),
+        "paper on a second replay",
+    );
+}
+
+/// Log equality is window by window and strict, so the equivalence tests
+/// above cannot pass vacuously: a replayed log equals its owned copy, and
+/// one changed event count or end cycle in the copy breaks the equality.
+#[test]
+fn replayed_log_equality_is_strict() {
+    let config = analytic_config(40_000.0, 3, DiskPolicy::IdleWhenNotBusy);
+    let sim = Simulator::new(config).unwrap();
+    let (_, trace) = sim.run_benchmark_traced(Benchmark::Jess);
+    let replayed = sim.replay_trace(&trace).log;
+    assert_eq!(replayed, owned_copy(&replayed));
+    assert_eq!(owned_copy(&replayed), replayed);
+
+    let mut csv = Vec::new();
+    replayed.to_csv(&mut csv).unwrap();
+    let text = String::from_utf8(csv).unwrap();
+    let rows: Vec<&str> = text.lines().collect();
+    let edited = |row: usize, column: usize, delta: i64| {
+        let mut lines: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
+        let mut fields: Vec<String> = lines[row].split(',').map(str::to_string).collect();
+        let value: i64 = fields[column].parse().unwrap();
+        fields[column] = (value + delta).to_string();
+        lines[row] = fields.join(",");
+        let csv = lines.join("\n") + "\n";
+        SimLog::from_csv(BufReader::new(csv.as_bytes())).unwrap()
+    };
+    let columns = rows[1].split(',').count();
+    // The two header lines, then one row per window.
+    let windows = 2..rows.len();
+    assert_eq!(windows.len(), replayed.len());
+    for row in [2, 2 + windows.len() / 2, rows.len() - 1] {
+        assert_ne!(
+            replayed,
+            edited(row, columns - 1, 1),
+            "event count in row {row}"
+        );
+    }
+    assert_ne!(replayed, edited(rows.len() - 1, 0, 1), "last end cycle");
+    assert_ne!(replayed, edited(2, 0, -1), "first end cycle");
 }
 
 proptest! {
