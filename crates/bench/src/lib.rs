@@ -1,49 +1,41 @@
-//! Benchmark harness for the SoftWatt reproduction.
+//! Benchmark harness and command-line front ends for the SoftWatt
+//! reproduction.
 //!
-//! This crate carries no library code of its own; it hosts
+//! The crate hosts
 //!
-//! - the `experiments` binary, which regenerates every table and figure of
-//!   the paper and prints paper-vs-measured comparisons (the source of
-//!   `EXPERIMENTS.md`), and
+//! - the binaries: `experiments`, which regenerates every table and figure
+//!   of the paper and prints paper-vs-measured comparisons (the source of
+//!   `EXPERIMENTS.md`); `simulate`, the single-run and Figure 1 log tool;
+//!   `softwatt-serve`, the query service; and `loadgen`, its load
+//!   generator;
 //! - the Criterion benches: `paper_experiments` (one bench per paper
 //!   artifact), `simulator_throughput` (cycles/second of the machine
-//!   models), and `ablations` (the design-choice studies listed in
-//!   `DESIGN.md` §7).
+//!   models), `ablations` (the design-choice studies listed in
+//!   `DESIGN.md` §7) and `hot_paths` (the inner loops of §15);
+//! - the perf canary (`tests/perf_canary.rs`), which pins the simulator's
+//!   cycle counts and grid and store tallies to
+//!   `docs/perf_canary_reference.json` under wall-clock ceilings.
 //!
 //! Run `cargo run --release -p softwatt-bench --bin experiments` for the
-//! full paper regeneration, or `cargo bench` for the timed harness.
+//! full paper regeneration, or `cargo bench` for the timed harness. Speed
+//! itself is measured by the repository benchmark (`BENCHMARK.json`,
+//! `perfbench/`).
 //!
-//! The one piece of shared library code is [`ObsFlags`]: the observability
-//! command-line surface (`--metrics`, `--metrics-out FILE`,
-//! `--log-level LEVEL`) every binary exposes uniformly.
+//! The shared library code is the flag surface every binary exposes
+//! uniformly: [`ObsFlags`] (`--metrics`, `--metrics-out FILE`,
+//! `--log-level LEVEL`), [`parse_count_or_auto`] for `--jobs`-style counts
+//! and [`open_trace_store`] for `--trace-cache DIR`.
 
 use std::io::Write as _;
 
-/// Parses the value of a positive-count flag (`--jobs N`, `--workers N`,
-/// `--queue-depth N`, ...): a strictly positive integer.
+/// Parses the value of a count flag (`--jobs N`, `--workers N`,
+/// `--queue-depth N`, ...): a strictly positive integer, or the literal
+/// `auto`, which maps to the machine's available parallelism (so
+/// `--jobs auto` means "use every core" on every binary uniformly).
 ///
 /// Shared by every binary so the flags behave — and complain —
 /// identically; `what` names the quantity in the error message
 /// (e.g. `"thread count"`).
-///
-/// # Errors
-///
-/// Returns `"{flag} needs a positive {what}"` when the value is absent,
-/// unparsable, or zero.
-pub fn parse_positive_count(
-    flag: &str,
-    value: Option<String>,
-    what: &str,
-) -> Result<usize, String> {
-    value
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("{flag} needs a positive {what}"))
-}
-
-/// Like [`parse_positive_count`], but also accepts the literal `auto`,
-/// which maps to the machine's available parallelism (so `--jobs auto`
-/// means "use every core" on every binary uniformly).
 ///
 /// # Errors
 ///
@@ -53,8 +45,10 @@ pub fn parse_count_or_auto(flag: &str, value: Option<String>, what: &str) -> Res
     if value.as_deref() == Some("auto") {
         return Ok(auto_parallelism());
     }
-    parse_positive_count(flag, value, what)
-        .map_err(|_| format!("{flag} needs a positive {what} or \"auto\""))
+    value
+        .and_then(|s| s.parse().ok())
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} needs a positive {what} or \"auto\""))
 }
 
 /// The parallelism `auto` resolves to: `std::thread::available_parallelism`,
@@ -63,22 +57,16 @@ pub fn auto_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Resolves the persistent trace-cache directory: an explicit
-/// `--trace-cache DIR` beats the `SOFTWATT_TRACE_CACHE` environment
-/// variable; an empty value for either means "no cache".
-pub fn trace_cache_dir(flag: Option<String>) -> Option<String> {
-    flag.or_else(|| std::env::var("SOFTWATT_TRACE_CACHE").ok())
-        .filter(|v| !v.is_empty())
-}
-
-/// Opens the [`softwatt::TraceStore`] for [`trace_cache_dir`]'s resolution,
-/// if any.
+/// Opens the [`softwatt::TraceStore`] for `--trace-cache DIR`, if any: an
+/// explicit directory beats the `SOFTWATT_TRACE_CACHE` environment
+/// variable, and an empty value for either means "no cache".
 ///
 /// # Errors
 ///
 /// Returns a message when the directory cannot be created or opened.
 pub fn open_trace_store(flag: Option<String>) -> Result<Option<softwatt::TraceStore>, String> {
-    trace_cache_dir(flag)
+    flag.or_else(|| std::env::var("SOFTWATT_TRACE_CACHE").ok())
+        .filter(|v| !v.is_empty())
         .map(|dir| {
             softwatt::TraceStore::open(&dir)
                 .map_err(|e| format!("cannot open trace cache {dir}: {e}"))
@@ -86,8 +74,8 @@ pub fn open_trace_store(flag: Option<String>) -> Result<Option<softwatt::TraceSt
         .transpose()
 }
 
-/// The observability flags shared by `experiments`, `simulate`, and
-/// `bench_simulator`.
+/// The observability flags shared by `experiments`, `simulate` and
+/// `softwatt-serve`.
 ///
 /// Parse with [`ObsFlags::try_parse`] inside the binary's flag loop, call
 /// [`ObsFlags::activate`] once parsing is done (this is what flips the

@@ -224,28 +224,13 @@ impl Simulator {
 
         // Safety net: a run that exceeds this is a livelock, not a workload.
         let cycle_cap = 400_000_000u64;
-        // Per-stage wall-clock accumulators for `bench_simulator --profile`:
-        // checked once per cycle, flushed into obs counters after the loop
-        // (per-cycle obs counter updates would distort what is measured).
-        let profiling = softwatt_obs::stage_timing();
-        let mut os_ns = 0u64;
-        let mut stats_ns = 0u64;
         loop {
             let out = cpu.cycle(&mut *os_as_source(&mut os), &mut mem, &mut stats);
-            let mut t = profiling.then(std::time::Instant::now);
             if let Some(event) = out.event {
                 os.handle_event(event, &mut stats);
             }
             os.apply_deferred(&mut mem, &mut stats);
-            if let Some(t0) = t {
-                let now = std::time::Instant::now();
-                os_ns += now.duration_since(t0).as_nanos() as u64;
-                t = Some(now);
-            }
             stats.tick();
-            if let Some(t0) = t {
-                stats_ns += t0.elapsed().as_nanos() as u64;
-            }
             if out.program_exited && os.finished() {
                 break;
             }
@@ -268,11 +253,6 @@ impl Simulator {
             assert!(stats.cycle() < cycle_cap, "runaway simulation");
         }
 
-        if profiling {
-            cpu.flush_stage_timing();
-            softwatt_obs::count("sim.stage.os_ns", os_ns);
-            softwatt_obs::count("sim.stage.stats_ns", stats_ns);
-        }
         let cycles = stats.cycle();
         let work_cycles = stats.work_cycle();
         let committed = cpu.committed_instructions();

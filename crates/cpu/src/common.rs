@@ -34,12 +34,6 @@ pub trait Cpu {
 
     /// Instructions committed since construction.
     fn committed_instructions(&self) -> u64;
-
-    /// Flushes any per-stage wall-clock time accumulated while
-    /// [`softwatt_obs::stage_timing`] was on into obs counters
-    /// (`<model>.stage.<name>_ns`). Default: no-op — models without stage
-    /// instrumentation ignore it.
-    fn flush_stage_timing(&self) {}
 }
 
 /// Records the register-file and functional-unit events common to both CPU

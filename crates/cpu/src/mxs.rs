@@ -119,11 +119,6 @@ pub struct MxsCpu {
     // i (a consumer waiting on both operands from one producer appears
     // twice). Drained when the producer is marked `Done`.
     consumers: Box<[Vec<u64>]>,
-    // Occupancy counters for the `--profile` harness (plain adds; cheap
-    // enough to maintain unconditionally).
-    issue_scans: u64,
-    issue_scan_entries: u64,
-    issue_skips: u64,
     last_writer: [Option<u64>; Reg::COUNT],
     lsq_used: usize,
     fetch_stall_until: u64,
@@ -135,28 +130,6 @@ pub struct MxsCpu {
     committed: u64,
     mispredicts: u64,
     branches: u64,
-    // Per-stage wall-clock accumulators (commit, complete, issue,
-    // dispatch, fetch), filled only while `softwatt_obs::stage_timing()`
-    // is on and flushed by [`Cpu::flush_stage_timing`].
-    stage_ns: [u64; STAGE_NAMES.len()],
-}
-
-/// Obs counter names for the per-stage accumulators, in pipeline order.
-const STAGE_NAMES: [&str; 5] = [
-    "mxs.stage.commit_ns",
-    "mxs.stage.complete_ns",
-    "mxs.stage.issue_ns",
-    "mxs.stage.dispatch_ns",
-    "mxs.stage.fetch_ns",
-];
-
-/// Elapsed nanoseconds since `*t`, resetting `*t` to now.
-#[inline]
-fn lap(t: &mut std::time::Instant) -> u64 {
-    let now = std::time::Instant::now();
-    let ns = now.duration_since(*t).as_nanos() as u64;
-    *t = now;
-    ns
 }
 
 impl MxsCpu {
@@ -182,9 +155,6 @@ impl MxsCpu {
             ready: Vec::with_capacity(config.window_size),
             inflight: Vec::with_capacity(config.window_size),
             consumers: vec![Vec::new(); ring].into_boxed_slice(),
-            issue_scans: 0,
-            issue_scan_entries: 0,
-            issue_skips: 0,
             last_writer: [None; Reg::COUNT],
             lsq_used: 0,
             fetch_stall_until: 0,
@@ -194,7 +164,6 @@ impl MxsCpu {
             committed: 0,
             mispredicts: 0,
             branches: 0,
-            stage_ns: [0; STAGE_NAMES.len()],
         }
     }
 
@@ -349,11 +318,8 @@ impl MxsCpu {
         // issue nothing and record nothing, exactly like the scan they
         // elide.
         if self.ready.is_empty() {
-            self.issue_skips += 1;
             return;
         }
-        self.issue_scans += 1;
-        self.issue_scan_entries += self.ready.len() as u64;
         let mut issued = 0;
         let mut int_used = 0;
         let mut fp_used = 0;
@@ -644,33 +610,14 @@ impl Cpu for MxsCpu {
         // observe end-of-stream. Real machines pay a trap-redirect bubble
         // here anyway. The awaited-branch flag is propagated onto its slot
         // after dispatch, once the seq exists in the window.
-        let (committed, event) = if softwatt_obs::stage_timing() {
-            let mut t = std::time::Instant::now();
-            let (committed, event) = self.commit_stage(stats);
-            self.stage_ns[0] += lap(&mut t);
-            self.complete_stage(stats);
-            self.stage_ns[1] += lap(&mut t);
-            self.issue_stage(mem, stats);
-            self.stage_ns[2] += lap(&mut t);
-            self.dispatch_stage(stats);
-            self.mark_awaited_branch();
-            self.stage_ns[3] += lap(&mut t);
-            if event.is_none() {
-                self.fetch_stage(frontend, mem, stats);
-                self.stage_ns[4] += lap(&mut t);
-            }
-            (committed, event)
-        } else {
-            let (committed, event) = self.commit_stage(stats);
-            self.complete_stage(stats);
-            self.issue_stage(mem, stats);
-            self.dispatch_stage(stats);
-            self.mark_awaited_branch();
-            if event.is_none() {
-                self.fetch_stage(frontend, mem, stats);
-            }
-            (committed, event)
-        };
+        let (committed, event) = self.commit_stage(stats);
+        self.complete_stage(stats);
+        self.issue_stage(mem, stats);
+        self.dispatch_stage(stats);
+        self.mark_awaited_branch();
+        if event.is_none() {
+            self.fetch_stage(frontend, mem, stats);
+        }
 
         let program_exited =
             self.source_exhausted && self.fetch_buffer.is_empty() && self.front == self.next_seq;
@@ -684,17 +631,6 @@ impl Cpu for MxsCpu {
 
     fn committed_instructions(&self) -> u64 {
         self.committed
-    }
-
-    fn flush_stage_timing(&self) {
-        for (name, &ns) in STAGE_NAMES.iter().zip(self.stage_ns.iter()) {
-            if ns > 0 {
-                softwatt_obs::count(name, ns);
-            }
-        }
-        softwatt_obs::count("mxs.issue.scans", self.issue_scans);
-        softwatt_obs::count("mxs.issue.scan_entries", self.issue_scan_entries);
-        softwatt_obs::count("mxs.issue.skipped_cycles", self.issue_skips);
     }
 }
 

@@ -11,11 +11,12 @@
 //!
 //! All recording entry points check one process-wide flag first
 //! ([`enabled`], a relaxed atomic load). The workspace's performance
-//! gates — `BENCH_simulator.json` regressions and the replay-equivalence
-//! wall-clock comparisons — run with observability *disabled*, so the
+//! records — the repository benchmark's untraced runs (`BENCHMARK.json`)
+//! and the perf canary test — run with observability *disabled*, so the
 //! disabled path is required to cost no more than a predictable branch.
 //! Instrumentation therefore lives at window/request/run granularity,
-//! never per simulated cycle.
+//! never per simulated cycle: even a switched-off check inside the cycle
+//! loop costs measurable time there.
 //!
 //! # Examples
 //!
@@ -45,7 +46,6 @@ pub use registry::{reset_metrics, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use span::Span;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static STAGE_TIMING: AtomicBool = AtomicBool::new(false);
 
 /// Whether metric recording is on. A single relaxed load: the whole cost
 /// of every instrumentation point while disabled.
@@ -57,23 +57,6 @@ pub fn enabled() -> bool {
 /// Turns metric recording on or off, process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether per-pipeline-stage timing is on (`bench_simulator --profile`).
-///
-/// Separate from [`enabled`] because stage timing reads the clock several
-/// times per *simulated cycle* — far too heavy for ordinary metric runs.
-/// The simulator checks this once per cycle and accumulates stage
-/// nanoseconds locally, flushing totals into ordinary counters at the end
-/// of the run.
-#[inline]
-pub fn stage_timing() -> bool {
-    STAGE_TIMING.load(Ordering::Relaxed)
-}
-
-/// Turns per-stage timing on or off, process-wide.
-pub fn set_stage_timing(on: bool) {
-    STAGE_TIMING.store(on, Ordering::Relaxed);
 }
 
 /// Adds `n` to the counter `name`. No-op (one load, one branch) while

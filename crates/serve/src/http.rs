@@ -86,16 +86,19 @@ pub enum ParseError {
 ///
 /// Returns `Ok(Some((request, consumed)))` when a complete request is
 /// available (`consumed` bytes of `buf` belong to it, leading blank
-/// lines included — RFC 9112 §2.2 tolerates them); `Ok(None)` when the
-/// bytes so far are a valid *prefix* and more must arrive; an error when
-/// the stream can never become a request.
+/// lines included — RFC 9112 §2.2 tolerates them, and they count toward
+/// [`Limits::max_head_bytes`]); `Ok(None)` when the bytes so far are a
+/// valid *prefix* and more must arrive; an error when the stream can
+/// never become a request.
 ///
 /// # Errors
 ///
 /// [`ParseError`] as above; the connection must be closed after
 /// reporting it.
 pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, ParseError> {
-    // Skip optional blank lines before the request line.
+    // Skip optional blank lines before the request line. They count
+    // toward the head budget, so a peer streaming nothing but blank lines
+    // is refused like one streaming an endless header.
     let mut start = 0;
     loop {
         if buf[start..].starts_with(b"\r\n") {
@@ -107,11 +110,10 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
         }
     }
 
-    let head = &buf[start..];
-    let Some(head_end) = find_head_end(head, limits, "request head too large")? else {
+    let Some(head_end) = find_head_end(buf, start, limits, "request head too large")? else {
         return Ok(None);
     };
-    let head_text = std::str::from_utf8(&head[..head_end])
+    let head_text = std::str::from_utf8(&buf[start..head_end])
         .map_err(|_| ParseError::Malformed("non-UTF-8 request head"))?;
     let mut lines = head_text
         .split('\n')
@@ -152,32 +154,34 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
             len
         }
     };
-    let body_start = start + head_end;
-    if buf.len() < body_start + body_len {
+    if buf.len() < head_end + body_len {
         return Ok(None);
     }
-    req.body = buf[body_start..body_start + body_len].to_vec();
-    Ok(Some((req, body_start + body_len)))
+    req.body = buf[head_end..head_end + body_len].to_vec();
+    Ok(Some((req, head_end + body_len)))
 }
 
-/// The length of the head at the front of `head`: everything through the
-/// empty line that terminates it. `Ok(None)` while it is unterminated and
-/// still within [`Limits::max_head_bytes`]; `too_large` once it outgrows
-/// the budget, terminated or not, so a peer streaming one endless line
-/// costs at most the budget.
+/// The end of the head that starts at `buf[start..]`: the offset in `buf`
+/// just past the empty line that terminates it. `Ok(None)` while it is
+/// unterminated and `buf` is still within [`Limits::max_head_bytes`];
+/// `too_large` once `buf` through the head outgrows the budget,
+/// terminated or not. The bytes before `start` count too, so a peer
+/// streaming one endless line, or endless blank lines ahead of one, costs
+/// at most the budget.
 fn find_head_end(
-    head: &[u8],
+    buf: &[u8],
+    start: usize,
     limits: &Limits,
     too_large: &'static str,
 ) -> Result<Option<usize>, ParseError> {
     // Find the empty line terminating the head: scan line by line.
     let mut head_end = None; // offset past the terminating empty line
-    let mut line_start = 0;
-    for (i, &b) in head.iter().enumerate() {
+    let mut line_start = start;
+    for (i, &b) in buf.iter().enumerate().skip(start) {
         if b != b'\n' {
             continue;
         }
-        let line = &head[line_start..i];
+        let line = &buf[line_start..i];
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         if line.is_empty() {
             head_end = Some(i + 1);
@@ -186,7 +190,7 @@ fn find_head_end(
         line_start = i + 1;
     }
     let Some(head_end) = head_end else {
-        if head.len() > limits.max_head_bytes {
+        if buf.len() > limits.max_head_bytes {
             return Err(ParseError::Malformed(too_large));
         }
         return Ok(None);
@@ -272,7 +276,7 @@ pub fn parse_response_head(
     buf: &[u8],
     limits: &Limits,
 ) -> Result<Option<ResponseHead>, ParseError> {
-    let Some(head_end) = find_head_end(buf, limits, "response head too large")? else {
+    let Some(head_end) = find_head_end(buf, 0, limits, "response head too large")? else {
         return Ok(None);
     };
     let head_text = std::str::from_utf8(&buf[..head_end])
@@ -554,6 +558,20 @@ mod tests {
         assert!(matches!(err, ParseError::Malformed(_)));
         // Under the budget and unterminated: still just incomplete.
         assert!(matches!(parse_request(b"GET / HT", &limits), Ok(None)));
+        // Leading blank lines count toward the budget: alone...
+        let blank = "\r\n".repeat(17);
+        assert_eq!(
+            parse_request(blank.as_bytes(), &limits).unwrap_err(),
+            ParseError::Malformed("request head too large")
+        );
+        // ...and ahead of a request that fits the budget by itself.
+        let short = "GET / HTTP/1.1\r\n\r\n";
+        assert!(parse_request(short.as_bytes(), &limits).unwrap().is_some());
+        let padded = format!("{}{short}", "\r\n".repeat(8));
+        assert_eq!(
+            parse_request(padded.as_bytes(), &limits).unwrap_err(),
+            ParseError::Malformed("request head too large")
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `swtrace-v1` — the compact binary on-disk format for [`PerfTrace`].
 //!
-//! CSV ([`PerfTrace::to_csv`]) stays the human-readable debug format; this
-//! module is what the persistent trace store writes. Layout:
+//! The one serialized form of a trace: the persistent trace store writes
+//! it and cluster peers send it. Layout:
 //!
 //! ```text
 //! magic      8 bytes  b"SWTRACE\0"
@@ -30,10 +30,9 @@
 //! ```
 //!
 //! Counts in a sampled simulation log are overwhelmingly small, so LEB128
-//! varints (with deltas where streams are monotone) compress the dominant
-//! SEGMENTS section far below the CSV's decimal text. Floats travel as
-//! IEEE-754 bit patterns: round trips are exact, matching the CSV format's
-//! discipline.
+//! varints (with deltas where streams are monotone) keep the dominant
+//! SEGMENTS section compact. Floats travel as IEEE-754 bit patterns, so
+//! round trips are exact.
 //!
 //! Every reader-side failure — bad magic, unsupported version, truncation,
 //! checksum mismatch, malformed sections, violated cross-section
@@ -407,8 +406,7 @@ impl PerfTrace {
             committed,
             user_instrs,
         };
-        // Same cross-section validation as the CSV reader: the two formats
-        // accept exactly the same set of traces.
+        // Sections decode independently; check the invariants that span them.
         trace.validate().map_err(bad)?;
         Ok((trace, annotation))
     }
@@ -480,17 +478,6 @@ mod tests {
         );
         assert_eq!(back.idle_rates[0].1.to_bits(), t.idle_rates[0].1.to_bits());
         assert_eq!(back.clocking.hz().to_bits(), t.clocking.hz().to_bits());
-    }
-
-    #[test]
-    fn binary_is_smaller_than_csv() {
-        let t = trace();
-        let mut csv = Vec::new();
-        t.to_csv(&mut csv).unwrap();
-        assert!(
-            encode(&t, b"").len() < csv.len(),
-            "binary must beat CSV even on a tiny trace"
-        );
     }
 
     #[test]
@@ -594,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn both_readers_reject_non_monotone_requests() {
+    fn binary_reader_rejects_non_monotone_requests() {
         let mut t = trace();
         t.requests = vec![
             TraceRequest {
@@ -610,11 +597,8 @@ mod tests {
         ];
         t.segments = vec![vec![sample(100, 100, 40)], vec![], vec![sample(300, 60, 7)]].into();
         assert!(t.validate().is_err());
-        // The CSV writer will happily emit it (serializers don't judge)…
-        let mut csv = Vec::new();
-        t.to_csv(&mut csv).unwrap();
-        // …but both readers run the shared validation path.
-        assert!(PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).is_err());
+        // The writer will happily emit it (serializers don't judge), but
+        // the reader runs the validation.
         let mut bin = Vec::new();
         t.to_binary(&mut bin, b"").unwrap();
         assert!(PerfTrace::from_binary(&bin[..]).is_err());

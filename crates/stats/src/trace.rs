@@ -20,14 +20,11 @@
 //! - the per-service aggregates of the work services (everything except the
 //!   idle pseudo-service, which the replay rebuilds itself).
 //!
-//! Serialization mirrors [`crate::SimLog`]'s CSV format: a tagged-row text
-//! file that round-trips exactly (floats travel as IEEE-754 bit patterns).
+//! A trace is stored and sent between peers in one format, the
+//! `swtrace-v1` binary codec ([`PerfTrace::to_binary`],
+//! [`PerfTrace::from_binary`]), which round-trips exactly.
 
-use std::io::{self, BufRead, Write};
-
-use crate::{
-    Clocking, Mode, ModeCounters, Sample, Segments, ServiceAggregate, ServiceId, UnitEvent,
-};
+use crate::{Clocking, Segments, ServiceAggregate, ServiceId, UnitEvent};
 
 /// One disk request in work-relative time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +68,10 @@ pub struct PerfTrace {
 impl PerfTrace {
     /// Checks cross-section invariants (a positive sampling interval,
     /// non-empty samples, segment/request correspondence, monotone work
-    /// offsets). Both deserializers — [`PerfTrace::from_csv`] and the
-    /// binary [`PerfTrace::from_binary`] — run this same check, so a
-    /// hand-edited CSV can never construct a trace the binary codec would
-    /// reject, and vice versa. O(requests): the segment block's cycle
-    /// totals were computed when it was built.
+    /// offsets). The deserializer, [`PerfTrace::from_binary`], runs this
+    /// check, so bytes from a store or a peer can never construct a trace
+    /// that breaks them. O(requests): the segment block's cycle totals
+    /// were computed when it was built.
     ///
     /// # Errors
     ///
@@ -123,205 +119,12 @@ impl PerfTrace {
         }
         Ok(())
     }
-
-    /// Writes the trace as tagged CSV rows (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn to_csv<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(
-            w,
-            "# softwatt perftrace v1 hz={} scale={} interval={} work_cycles={} committed={} user_instrs={}",
-            self.clocking.hz(),
-            self.clocking.scale(),
-            self.sample_interval,
-            self.work_cycles,
-            self.committed,
-            self.user_instrs
-        )?;
-        for r in &self.requests {
-            writeln!(w, "R,{},{},{}", r.work_submit, r.disk_offset, r.bytes)?;
-        }
-        for &(event, rate) in &self.idle_rates {
-            writeln!(w, "I,{},{:016x}", event.index(), rate.to_bits())?;
-        }
-        for (service, agg) in &self.work_services {
-            write!(
-                w,
-                "W,{},{},{},{:016x},{:016x}",
-                service.0,
-                agg.invocations,
-                agg.cycles,
-                agg.energy_sum_j.to_bits(),
-                agg.energy_sumsq_j2.to_bits()
-            )?;
-            for (_, n) in agg.events.iter() {
-                write!(w, ",{n}")?;
-            }
-            writeln!(w)?;
-        }
-        for segment in self.segments.iter() {
-            writeln!(w, "G")?;
-            for s in segment {
-                write!(w, "S,{}", s.end_cycle)?;
-                for m in Mode::ALL {
-                    write!(w, ",{}", s.mode_cycles[m.index()])?;
-                }
-                for m in Mode::ALL {
-                    for e in UnitEvent::ALL {
-                        write!(w, ",{}", s.events.mode(m).get(e))?;
-                    }
-                }
-                writeln!(w)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads a trace previously written by [`PerfTrace::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for I/O failures or a malformed file.
-    pub fn from_csv<R: BufRead>(r: R) -> io::Result<PerfTrace> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut lines = r.lines();
-        let header = lines.next().ok_or_else(|| bad("empty trace file"))??;
-        let rest = header
-            .strip_prefix("# softwatt perftrace v1 ")
-            .ok_or_else(|| bad("missing perftrace header"))?;
-        let mut hz = None;
-        let mut scale = None;
-        let mut interval = None;
-        let mut work_cycles = None;
-        let mut committed = None;
-        let mut user_instrs = None;
-        for field in rest.split_whitespace() {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| bad("malformed header field"))?;
-            match key {
-                "hz" => hz = value.parse::<f64>().ok(),
-                "scale" => scale = value.parse::<f64>().ok(),
-                "interval" => interval = value.parse::<u64>().ok(),
-                "work_cycles" => work_cycles = value.parse::<u64>().ok(),
-                "committed" => committed = value.parse::<u64>().ok(),
-                "user_instrs" => user_instrs = value.parse::<u64>().ok(),
-                _ => {}
-            }
-        }
-        let (Some(hz), Some(scale), Some(interval)) = (hz, scale, interval) else {
-            return Err(bad("incomplete perftrace header"));
-        };
-        let (Some(work_cycles), Some(committed), Some(user_instrs)) =
-            (work_cycles, committed, user_instrs)
-        else {
-            return Err(bad("incomplete perftrace header"));
-        };
-        let clocking = Clocking::try_scaled(hz, scale).ok_or_else(|| {
-            bad("perftrace clock rate and time scale must be positive and finite")
-        })?;
-
-        let mut requests = Vec::new();
-        let mut idle_rates = Vec::new();
-        let mut work_services = Vec::new();
-        let mut segments: Vec<Vec<Sample>> = Vec::new();
-        let parse_u64 = |s: Option<&str>| -> io::Result<u64> {
-            s.ok_or_else(|| bad("short row"))?
-                .parse()
-                .map_err(|_| bad("unparsable number"))
-        };
-        let parse_f64_bits = |s: Option<&str>| -> io::Result<f64> {
-            let bits = u64::from_str_radix(s.ok_or_else(|| bad("short row"))?, 16)
-                .map_err(|_| bad("unparsable float bits"))?;
-            Ok(f64::from_bits(bits))
-        };
-        for line in lines {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split(',');
-            match fields.next() {
-                Some("R") => requests.push(TraceRequest {
-                    work_submit: parse_u64(fields.next())?,
-                    disk_offset: parse_u64(fields.next())?,
-                    bytes: parse_u64(fields.next())?,
-                }),
-                Some("I") => {
-                    let index = parse_u64(fields.next())? as usize;
-                    if index >= UnitEvent::COUNT {
-                        return Err(bad("idle-rate event index out of range"));
-                    }
-                    let rate = parse_f64_bits(fields.next())?;
-                    idle_rates.push((UnitEvent::from_index(index), rate));
-                }
-                Some("W") => {
-                    let service = ServiceId(
-                        parse_u64(fields.next())?
-                            .try_into()
-                            .map_err(|_| bad("service id out of range"))?,
-                    );
-                    let mut agg = ServiceAggregate::empty();
-                    agg.invocations = parse_u64(fields.next())?;
-                    agg.cycles = parse_u64(fields.next())?;
-                    agg.energy_sum_j = parse_f64_bits(fields.next())?;
-                    agg.energy_sumsq_j2 = parse_f64_bits(fields.next())?;
-                    for e in UnitEvent::ALL {
-                        agg.events.add(e, parse_u64(fields.next())?);
-                    }
-                    work_services.push((service, agg));
-                }
-                Some("G") => segments.push(Vec::new()),
-                Some("S") => {
-                    let end_cycle = parse_u64(fields.next())?;
-                    let mut mode_cycles = [0u64; Mode::COUNT];
-                    for mc in &mut mode_cycles {
-                        *mc = parse_u64(fields.next())?;
-                    }
-                    let mut events = ModeCounters::new();
-                    for m in Mode::ALL {
-                        for e in UnitEvent::ALL {
-                            events.mode_mut(m).add(e, parse_u64(fields.next())?);
-                        }
-                    }
-                    let segment = segments
-                        .last_mut()
-                        .ok_or_else(|| bad("sample row before any segment marker"))?;
-                    segment.push(Sample {
-                        end_cycle,
-                        mode_cycles,
-                        events,
-                    });
-                }
-                _ => return Err(bad("unknown row tag")),
-            }
-        }
-        let trace = PerfTrace {
-            clocking,
-            sample_interval: interval,
-            segments: Segments::new(segments),
-            requests,
-            idle_rates,
-            work_services,
-            work_cycles,
-            committed,
-            user_instrs,
-        };
-        // Same cross-section validation as the binary reader (swtrace.rs):
-        // the two formats accept exactly the same set of traces.
-        trace
-            .validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Ok(trace)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CounterSet;
+    use crate::{CounterSet, Mode, ModeCounters, Sample};
 
     fn sample(end: u64, user_cycles: u64, alu: u64) -> Sample {
         let mut events = ModeCounters::new();
@@ -365,22 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_is_exact() {
-        let t = trace();
-        t.validate().unwrap();
-        let mut buf = Vec::new();
-        t.to_csv(&mut buf).unwrap();
-        let back = PerfTrace::from_csv(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, t);
-        // Bit-exactness of the floats, beyond PartialEq.
-        assert_eq!(
-            back.work_services[0].1.energy_sum_j.to_bits(),
-            t.work_services[0].1.energy_sum_j.to_bits()
-        );
-        assert_eq!(back.idle_rates[0].1.to_bits(), t.idle_rates[0].1.to_bits());
-    }
-
-    #[test]
     fn validate_rejects_segment_mismatch() {
         let mut t = trace();
         t.segments = vec![vec![sample(100, 100, 40)]].into();
@@ -410,50 +197,5 @@ mod tests {
         ]
         .into();
         assert!(t.validate().is_err());
-    }
-
-    /// The trace's CSV with its header line replaced.
-    fn csv_with_header(header: &str) -> Vec<u8> {
-        let mut buf = Vec::new();
-        trace().to_csv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        format!("{header}\n{}", text.split_once('\n').unwrap().1).into_bytes()
-    }
-
-    #[test]
-    fn from_csv_rejects_a_zero_clock_rate() {
-        let csv = csv_with_header(
-            "# softwatt perftrace v1 hz=0 scale=2000 interval=100 work_cycles=160 \
-             committed=140 user_instrs=120",
-        );
-        let err = PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn from_csv_rejects_a_nan_or_non_positive_scale() {
-        for scale in ["NaN", "-1", "0"] {
-            let csv = csv_with_header(&format!(
-                "# softwatt perftrace v1 hz=200000000 scale={scale} interval=100 \
-                 work_cycles=160 committed=140 user_instrs=120"
-            ));
-            let err = PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "scale={scale}");
-        }
-    }
-
-    #[test]
-    fn from_csv_rejects_a_zero_interval() {
-        let csv = csv_with_header(
-            "# softwatt perftrace v1 hz=200000000 scale=2000 interval=0 work_cycles=160 \
-             committed=140 user_instrs=120",
-        );
-        assert!(PerfTrace::from_csv(std::io::BufReader::new(&csv[..])).is_err());
-    }
-
-    #[test]
-    fn from_csv_rejects_garbage() {
-        let garbage = b"not a trace\n1,2,3\n";
-        assert!(PerfTrace::from_csv(std::io::BufReader::new(&garbage[..])).is_err());
     }
 }

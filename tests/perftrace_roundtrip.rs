@@ -1,9 +1,9 @@
-//! Property test: [`PerfTrace`] CSV export/import is the identity on
-//! arbitrary (structurally valid) traces — the replay-engine counterpart
-//! of the `SimLog` round trip in `crates/stats/tests/props.rs`. Floats
-//! travel as IEEE-754 bit patterns, so equality is exact; the strategies
-//! only produce finite values (`PartialEq` on the trace would reject NaN
-//! even after a perfect round trip).
+//! Property test: the `swtrace-v1` binary codec is the identity on
+//! arbitrary (structurally valid) [`PerfTrace`]s — the replay-engine
+//! counterpart of the `SimLog` round trip in `crates/stats/tests/props.rs`.
+//! Floats travel as IEEE-754 bit patterns, so equality is exact; the
+//! strategies only produce finite values (`PartialEq` on the trace would
+//! reject NaN even after a perfect round trip).
 
 use proptest::prelude::*;
 
@@ -39,8 +39,8 @@ fn samples(interval: u64, steps: &[(Mode, UnitEvent, u64)]) -> Vec<Sample> {
 
 /// Raw request material: (submit-time delta, disk offset, bytes). The test
 /// body prefix-sums the deltas and clamps them to the trace's work cycles,
-/// because `validate()` (shared by the CSV and binary readers) demands
-/// monotone, in-range submission offsets.
+/// because `validate()` (run by the binary reader) demands monotone,
+/// in-range submission offsets.
 fn request_parts() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     prop::collection::vec((0u64..1 << 16, 0u64..1 << 40, 1u64..1 << 20), 0..8)
 }
@@ -77,10 +77,11 @@ fn work_services() -> impl Strategy<Value = Vec<(ServiceId, ServiceAggregate)>> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// CSV export/import is the identity on arbitrary traces, including
-    /// empty segments, an empty request stream, and float payloads.
+    /// The binary codec is the identity on arbitrary traces, including
+    /// empty segments, an empty request stream, float payloads and the
+    /// annotation.
     #[test]
-    fn perftrace_csv_round_trip(
+    fn perftrace_binary_round_trip(
         interval in 1u64..32,
         scale in 1.0f64..500_000.0,
         steps in prop::collection::vec((modes(), events(), 0u64..9), 1..120),
@@ -124,13 +125,6 @@ proptest! {
         };
         prop_assert!(trace.validate().is_ok());
 
-        let mut buf = Vec::new();
-        trace.to_csv(&mut buf).unwrap();
-        let back = PerfTrace::from_csv(std::io::BufReader::new(&buf[..])).unwrap();
-        prop_assert_eq!(&back, &trace);
-
-        // The swtrace-v1 binary codec is the identity on the same traces,
-        // annotation included.
         let mut bin = Vec::new();
         trace.to_binary(&mut bin, b"prop annotation").unwrap();
         let (back, annotation) = PerfTrace::from_binary(&bin[..]).unwrap();
@@ -138,9 +132,9 @@ proptest! {
         prop_assert_eq!(annotation.as_slice(), b"prop annotation".as_slice());
     }
 
-    /// The header's decimal floats (hz, scale) survive the round trip
-    /// exactly too — Rust's shortest-representation formatting guarantees
-    /// read-back equality without bit-pattern encoding.
+    /// The header's clock rate and time scale survive the round trip
+    /// exactly over their whole valid range, through the reader's
+    /// positive-and-finite check.
     #[test]
     fn perftrace_header_clocking_round_trips(
         hz in 1.0e6f64..1.0e9,
@@ -157,9 +151,9 @@ proptest! {
             committed: 0,
             user_instrs: 0,
         };
-        let mut buf = Vec::new();
-        trace.to_csv(&mut buf).unwrap();
-        let back = PerfTrace::from_csv(std::io::BufReader::new(&buf[..])).unwrap();
+        let mut bin = Vec::new();
+        trace.to_binary(&mut bin, b"").unwrap();
+        let (back, _) = PerfTrace::from_binary(&bin[..]).unwrap();
         prop_assert_eq!(back.clocking, trace.clocking);
     }
 }
