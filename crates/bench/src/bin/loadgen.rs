@@ -76,6 +76,7 @@ use std::time::{Duration, Instant};
 use softwatt::experiments::DiskSetup;
 use softwatt::{Benchmark, CpuModel, ExperimentSuite, SystemConfig};
 use softwatt_bench::parse_count_or_auto;
+use softwatt_fabric::ring::mix64;
 use softwatt_serve::client::Client;
 use softwatt_serve::http;
 use softwatt_serve::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -92,16 +93,6 @@ const MAX_RETRIES: u32 = 300;
 /// Ceiling on how long one backoff sleep can get, however large a
 /// `Retry-After` the server hints.
 const BACKOFF_CAP_MS: u64 = 2_000;
-
-/// splitmix64 finalizer: the jitter mixer (same construction the fabric
-/// ring uses to spread FNV-1a values).
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Backoff before retry number `attempt` (0-based): exponential from
 /// 2 ms, capped at the server's `Retry-After` hint (itself capped at

@@ -8,18 +8,13 @@
 //!   `EXPERIMENTS.md`); `simulate`, the single-run and Figure 1 log tool;
 //!   `softwatt-serve`, the query service; and `loadgen`, its load
 //!   generator;
-//! - the Criterion benches: `paper_experiments` (one bench per paper
-//!   artifact), `simulator_throughput` (cycles/second of the machine
-//!   models), `ablations` (the design-choice studies listed in
-//!   `DESIGN.md` §7) and `hot_paths` (the inner loops of §15);
 //! - the perf canary (`tests/perf_canary.rs`), which pins the simulator's
 //!   cycle counts and grid and store tallies to
 //!   `docs/perf_canary_reference.json` under wall-clock ceilings.
 //!
 //! Run `cargo run --release -p softwatt-bench --bin experiments` for the
-//! full paper regeneration, or `cargo bench` for the timed harness. Speed
-//! itself is measured by the repository benchmark (`BENCHMARK.json`,
-//! `perfbench/`).
+//! full paper regeneration. Speed is measured by the repository benchmark
+//! (`BENCHMARK.json`, `perfbench/`).
 //!
 //! The shared library code is the flag surface every binary exposes
 //! uniformly: [`ObsFlags`] (`--metrics`, `--metrics-out FILE`,

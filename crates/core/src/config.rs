@@ -120,6 +120,27 @@ impl SystemConfig {
         Clocking::scaled(self.freq_hz, self.time_scale)
     }
 
+    /// The out-of-order core `cpu` simulates, or `None` for the in-order
+    /// [`CpuModel::Mipsy`]. The single-issue model takes
+    /// [`MxsConfig::single_issue`]'s widths and keeps `mxs`'s predictor,
+    /// window and LSQ sizes. The simulator builds its core from this and
+    /// [`SystemConfig::power_params`] charges for it, so both see one
+    /// machine.
+    pub(crate) fn mxs_core(&self) -> Option<MxsConfig> {
+        match self.cpu {
+            CpuModel::Mipsy => None,
+            CpuModel::Mxs => Some(self.mxs),
+            CpuModel::MxsSingleIssue => Some(MxsConfig {
+                bht_entries: self.mxs.bht_entries,
+                btb_entries: self.mxs.btb_entries,
+                ras_entries: self.mxs.ras_entries,
+                window_size: self.mxs.window_size,
+                lsq_size: self.mxs.lsq_size,
+                ..MxsConfig::single_issue()
+            }),
+        }
+    }
+
     /// Structural power-model parameters matching this machine.
     pub fn power_params(&self) -> PowerParams {
         let base = PowerParams {
@@ -129,41 +150,24 @@ impl SystemConfig {
             tlb: self.mem.tlb_entries,
             ..PowerParams::default()
         };
-        match self.cpu {
-            CpuModel::Mxs => PowerParams {
-                fetch_width: self.mxs.fetch_width,
-                decode_width: self.mxs.decode_width,
-                issue_width: self.mxs.issue_width,
-                mem_ports: self.mxs.mem_ports,
-                int_units: self.mxs.int_units,
-                fp_units: self.mxs.fp_units,
-                window: self.mxs.window_size,
-                lsq: self.mxs.lsq_size,
-                bht: self.mxs.bht_entries,
-                btb: self.mxs.btb_entries,
-                ras: self.mxs.ras_entries,
+        match self.mxs_core() {
+            Some(core) => PowerParams {
+                fetch_width: core.fetch_width,
+                decode_width: core.decode_width,
+                issue_width: core.issue_width,
+                mem_ports: core.mem_ports,
+                int_units: core.int_units,
+                fp_units: core.fp_units,
+                window: core.window_size,
+                lsq: core.lsq_size,
+                bht: core.bht_entries,
+                btb: core.btb_entries,
+                ras: core.ras_entries,
                 ..base
             },
-            CpuModel::MxsSingleIssue => {
-                let narrow = MxsConfig::single_issue();
-                PowerParams {
-                    fetch_width: narrow.fetch_width,
-                    decode_width: narrow.decode_width,
-                    issue_width: narrow.issue_width,
-                    mem_ports: narrow.mem_ports,
-                    int_units: narrow.int_units,
-                    fp_units: narrow.fp_units,
-                    window: narrow.window_size,
-                    lsq: narrow.lsq_size,
-                    bht: narrow.bht_entries,
-                    btb: narrow.btb_entries,
-                    ras: narrow.ras_entries,
-                    ..base
-                }
-            }
             // Mipsy: a simple scalar pipeline with no OoO structures; the
             // structures still exist physically but see no events.
-            CpuModel::Mipsy => PowerParams {
+            None => PowerParams {
                 fetch_width: 1,
                 decode_width: 1,
                 issue_width: 1,
@@ -235,6 +239,50 @@ mod tests {
         assert_eq!(c.power_params().window, 64, "single-issue keeps the window");
         c.cpu = CpuModel::Mipsy;
         assert_eq!(c.power_params().fetch_width, 1);
+    }
+
+    #[test]
+    fn power_params_charge_the_simulated_mxs_core() {
+        let mxs = MxsConfig {
+            window_size: 32,
+            lsq_size: 16,
+            bht_entries: 512,
+            btb_entries: 256,
+            ras_entries: 8,
+            ..MxsConfig::default()
+        };
+        for cpu in [CpuModel::Mxs, CpuModel::MxsSingleIssue] {
+            let c = SystemConfig {
+                cpu,
+                mxs,
+                ..SystemConfig::default()
+            };
+            let core = c.mxs_core().expect("an MXS model");
+            assert_eq!(core.window_size, 32, "{cpu:?} keeps the configured window");
+            let p = c.power_params();
+            assert_eq!(
+                (p.fetch_width, p.decode_width, p.issue_width, p.mem_ports),
+                (
+                    core.fetch_width,
+                    core.decode_width,
+                    core.issue_width,
+                    core.mem_ports
+                ),
+                "{cpu:?} widths"
+            );
+            assert_eq!((p.int_units, p.fp_units), (core.int_units, core.fp_units));
+            assert_eq!(
+                (p.window, p.lsq, p.bht, p.btb, p.ras),
+                (
+                    core.window_size,
+                    core.lsq_size,
+                    core.bht_entries,
+                    core.btb_entries,
+                    core.ras_entries
+                ),
+                "{cpu:?} structures"
+            );
+        }
     }
 
     #[test]

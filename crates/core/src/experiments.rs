@@ -516,27 +516,6 @@ impl ExperimentSuite {
             .ok_or(UnknownWorkload::Unregistered)
     }
 
-    /// Registers `spec` and runs it on the given machine setup — the
-    /// inline-spec analogue of [`ExperimentSuite::run`], with the same
-    /// memo → trace-store → full-simulation tiering.
-    ///
-    /// # Errors
-    ///
-    /// The first validation problem found.
-    pub fn run_spec(
-        &self,
-        spec: BenchmarkSpec,
-        cpu: CpuModel,
-        disk: DiskSetup,
-    ) -> Result<Arc<RunBundle>, String> {
-        let workload = self.register_spec(spec)?;
-        Ok(self.run_key(RunKey {
-            workload,
-            cpu,
-            disk,
-        }))
-    }
-
     /// [`ExperimentSuite::run`] addressed by key.
     pub fn run_key(&self, key: RunKey) -> Arc<RunBundle> {
         memoize(&self.runs, key, &BUNDLE_MEMO, || self.execute(key))

@@ -10,6 +10,7 @@
 
 use std::fmt::Write as _;
 
+use softwatt_obs::{push_json_f64, push_json_string};
 use softwatt_power::UnitGroup;
 use softwatt_stats::Mode;
 use softwatt_workloads::BenchmarkSpec;
@@ -28,35 +29,8 @@ pub const FIGURES: [&str; 7] = [
     "table4",
 ];
 
-/// Appends `s` as a JSON string literal.
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write to string");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends a float as a JSON number (`{:?}` is the shortest representation
-/// that round-trips, and is valid JSON for every finite value); non-finite
-/// values become `null`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        write!(out, "{v:?}").expect("write to string");
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_key(out: &mut String, key: &str) {
-    push_str_lit(out, key);
+    push_json_string(out, key);
     out.push_str(": ");
 }
 
@@ -67,14 +41,14 @@ fn push_budget(out: &mut String, budget: &SystemBudget) {
             out.push_str(", ");
         }
         push_key(out, g.label());
-        push_f64(out, w);
+        push_json_f64(out, w);
     }
     out.push_str("}, \"disk_w\": ");
-    push_f64(out, budget.disk_w);
+    push_json_f64(out, budget.disk_w);
     out.push_str(", \"total_w\": ");
-    push_f64(out, budget.total_w());
+    push_json_f64(out, budget.total_w());
     out.push_str(", \"disk_pct\": ");
-    push_f64(out, budget.disk_pct());
+    push_json_f64(out, budget.disk_pct());
     out.push('}');
 }
 
@@ -87,17 +61,17 @@ pub fn run_key(key: RunKey) -> String {
     match key.workload.canned() {
         Some(benchmark) => {
             out.push_str("{\"benchmark\": ");
-            push_str_lit(&mut out, benchmark.name());
+            push_json_string(&mut out, benchmark.name());
         }
         None => {
             out.push_str("{\"workload\": ");
-            push_str_lit(&mut out, &key.workload.label());
+            push_json_string(&mut out, &key.workload.label());
         }
     }
     out.push_str(", \"cpu\": ");
-    push_str_lit(&mut out, key.cpu.name());
+    push_json_string(&mut out, key.cpu.name());
     out.push_str(", \"disk\": ");
-    push_str_lit(&mut out, key.disk.name());
+    push_json_string(&mut out, key.disk.name());
     out.push('}');
     out
 }
@@ -109,11 +83,11 @@ pub fn run_key(key: RunKey) -> String {
 pub fn benchmark_spec(spec: &BenchmarkSpec) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"schema\": \"softwatt-spec-v1\", \"name\": ");
-    push_str_lit(&mut out, &spec.name);
+    push_json_string(&mut out, &spec.name);
     out.push_str(", \"duration_s\": ");
-    push_f64(&mut out, spec.duration_s);
+    push_json_f64(&mut out, spec.duration_s);
     out.push_str(", \"assumed_ipc\": ");
-    push_f64(&mut out, spec.assumed_ipc);
+    push_json_f64(&mut out, spec.assumed_ipc);
     write!(
         out,
         ", \"class_files\": {}, \"class_file_bytes\": {}",
@@ -121,16 +95,16 @@ pub fn benchmark_spec(spec: &BenchmarkSpec) -> String {
     )
     .expect("write to string");
     out.push_str(", \"startup_compute_frac\": ");
-    push_f64(&mut out, spec.startup_compute_frac);
+    push_json_f64(&mut out, spec.startup_compute_frac);
     out.push_str(", \"cacheflush_per_kinstr\": ");
-    push_f64(&mut out, spec.cacheflush_per_kinstr);
+    push_json_f64(&mut out, spec.cacheflush_per_kinstr);
     out.push_str(", \"phases\": [");
     for (i, p) in spec.phases.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str("{\"name\": ");
-        push_str_lit(&mut out, &p.name);
+        push_json_string(&mut out, &p.name);
         for (field, v) in [
             ("frac", p.frac),
             ("load", p.load),
@@ -144,7 +118,7 @@ pub fn benchmark_spec(spec: &BenchmarkSpec) -> String {
         ] {
             out.push_str(", ");
             push_key(&mut out, field);
-            push_f64(&mut out, v);
+            push_json_f64(&mut out, v);
         }
         write!(
             out,
@@ -168,12 +142,12 @@ pub fn benchmark_spec(spec: &BenchmarkSpec) -> String {
                 out.push_str(", ");
             }
             push_key(&mut out, field);
-            push_f64(&mut out, v);
+            push_json_f64(&mut out, v);
         }
         write!(out, "}}, \"io_bytes_mean\": {}", p.syscalls.io_bytes_mean)
             .expect("write to string");
         out.push_str(", \"fresh_per_kinstr\": ");
-        push_f64(&mut out, p.fresh_per_kinstr);
+        push_json_f64(&mut out, p.fresh_per_kinstr);
         out.push('}');
     }
     out.push_str("], \"io_bursts\": [");
@@ -182,7 +156,7 @@ pub fn benchmark_spec(spec: &BenchmarkSpec) -> String {
             out.push_str(", ");
         }
         out.push_str("{\"at_s\": ");
-        push_f64(&mut out, b.at_s);
+        push_json_f64(&mut out, b.at_s);
         write!(
             out,
             ", \"files\": {}, \"bytes_per_file\": {}}}",
@@ -208,9 +182,9 @@ pub fn run_bundle(key: RunKey, bundle: &RunBundle) -> String {
     )
     .expect("write to string");
     out.push_str(", \"duration_s\": ");
-    push_f64(&mut out, run.duration_s);
+    push_json_f64(&mut out, run.duration_s);
     out.push_str(", \"ipc\": ");
-    push_f64(&mut out, run.ipc());
+    push_json_f64(&mut out, run.ipc());
     out.push_str(", \"modes\": {");
     for (i, mode) in Mode::ALL.into_iter().enumerate() {
         if i > 0 {
@@ -219,7 +193,7 @@ pub fn run_bundle(key: RunKey, bundle: &RunBundle) -> String {
         push_key(&mut out, mode.label());
         let cycles = run.mode_cycles(mode);
         write!(out, "{{\"cycles\": {cycles}, \"pct\": ").expect("write to string");
-        push_f64(&mut out, 100.0 * cycles as f64 / run.cycles.max(1) as f64);
+        push_json_f64(&mut out, 100.0 * cycles as f64 / run.cycles.max(1) as f64);
         out.push('}');
     }
     out.push_str("}, \"budget\": ");
@@ -230,7 +204,7 @@ pub fn run_bundle(key: RunKey, bundle: &RunBundle) -> String {
         run.disk.requests, run.disk.spinups, run.disk.spindowns
     )
     .expect("write to string");
-    push_f64(&mut out, run.disk.energy_j);
+    push_json_f64(&mut out, run.disk.energy_j);
     out.push_str("}}");
     out
 }
@@ -249,14 +223,14 @@ pub fn figure(suite: &ExperimentSuite, name: &str) -> Option<String> {
         "validation" => {
             let v = suite.validation();
             out.push_str("{\"modeled_w\": ");
-            push_f64(&mut out, v.modeled_w());
+            push_json_f64(&mut out, v.modeled_w());
             out.push_str(", \"groups\": {");
             for (i, (g, w)) in v.breakdown.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
                 push_key(&mut out, g.label());
-                push_f64(&mut out, w);
+                push_json_f64(&mut out, w);
             }
             out.push_str("}}");
         }
@@ -282,10 +256,10 @@ pub fn figure(suite: &ExperimentSuite, name: &str) -> Option<String> {
                         out.push_str(", ");
                     }
                     push_key(&mut out, g.label());
-                    push_f64(&mut out, fig.per_mode[mode.index()].get(g));
+                    push_json_f64(&mut out, fig.per_mode[mode.index()].get(g));
                 }
                 out.push_str(", \"total_w\": ");
-                push_f64(&mut out, fig.total_w(mode));
+                push_json_f64(&mut out, fig.total_w(mode));
                 out.push('}');
             }
             out.push('}');
@@ -297,16 +271,16 @@ pub fn figure(suite: &ExperimentSuite, name: &str) -> Option<String> {
                     out.push_str(", ");
                 }
                 out.push_str("{\"benchmark\": ");
-                push_str_lit(&mut out, row.benchmark.name());
+                push_json_string(&mut out, row.benchmark.name());
                 out.push_str(", \"cells\": [");
                 for (j, c) in row.cells.iter().enumerate() {
                     if j > 0 {
                         out.push_str(", ");
                     }
                     out.push_str("{\"disk\": ");
-                    push_str_lit(&mut out, c.setup.name());
+                    push_json_string(&mut out, c.setup.name());
                     out.push_str(", \"disk_energy_j\": ");
-                    push_f64(&mut out, c.disk_energy_j);
+                    push_json_f64(&mut out, c.disk_energy_j);
                     write!(
                         out,
                         ", \"idle_cycles\": {}, \"total_cycles\": {}, \"spinups\": {}, \"spindowns\": {}}}",
@@ -325,7 +299,7 @@ pub fn figure(suite: &ExperimentSuite, name: &str) -> Option<String> {
                     out.push_str(", ");
                 }
                 out.push_str("{\"benchmark\": ");
-                push_str_lit(&mut out, row.benchmark.name());
+                push_json_string(&mut out, row.benchmark.name());
                 for (field, values) in [
                     ("cycles_pct", &row.cycles_pct),
                     ("energy_pct", &row.energy_pct),
@@ -338,7 +312,7 @@ pub fn figure(suite: &ExperimentSuite, name: &str) -> Option<String> {
                             out.push_str(", ");
                         }
                         push_key(&mut out, mode.label());
-                        push_f64(&mut out, values[mode.index()]);
+                        push_json_f64(&mut out, values[mode.index()]);
                     }
                     out.push('}');
                 }
@@ -353,23 +327,23 @@ pub fn figure(suite: &ExperimentSuite, name: &str) -> Option<String> {
                     out.push_str(", ");
                 }
                 out.push_str("{\"benchmark\": ");
-                push_str_lit(&mut out, row.benchmark.name());
+                push_json_string(&mut out, row.benchmark.name());
                 out.push_str(", \"services\": [");
                 for (j, e) in row.entries.iter().enumerate() {
                     if j > 0 {
                         out.push_str(", ");
                     }
                     out.push_str("{\"service\": ");
-                    push_str_lit(&mut out, e.service.name());
+                    push_json_string(&mut out, e.service.name());
                     write!(
                         out,
                         ", \"invocations\": {}, \"cycles_pct\": ",
                         e.invocations
                     )
                     .expect("write to string");
-                    push_f64(&mut out, e.cycles_pct);
+                    push_json_f64(&mut out, e.cycles_pct);
                     out.push_str(", \"energy_pct\": ");
-                    push_f64(&mut out, e.energy_pct);
+                    push_json_f64(&mut out, e.energy_pct);
                     out.push('}');
                 }
                 out.push_str("]}");
@@ -389,18 +363,18 @@ mod tests {
     #[test]
     fn string_literals_are_escaped() {
         let mut s = String::new();
-        push_str_lit(&mut s, "a\"b\\c\nd");
+        push_json_string(&mut s, "a\"b\\c\nd");
         assert_eq!(s, "\"a\\\"b\\\\c\\u000ad\"");
     }
 
     #[test]
     fn floats_render_as_json_numbers() {
         let mut s = String::new();
-        push_f64(&mut s, 2.5);
+        push_json_f64(&mut s, 2.5);
         s.push(' ');
-        push_f64(&mut s, 3.0);
+        push_json_f64(&mut s, 3.0);
         s.push(' ');
-        push_f64(&mut s, f64::NAN);
+        push_json_f64(&mut s, f64::NAN);
         assert_eq!(s, "2.5 3.0 null");
     }
 

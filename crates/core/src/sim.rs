@@ -1,6 +1,6 @@
 //! The full-system simulator driver.
 
-use softwatt_cpu::{Cpu, MipsyCpu, MxsConfig, MxsCpu};
+use softwatt_cpu::{Cpu, MipsyCpu, MxsCpu};
 use softwatt_disk::{replay_requests, Disk, DiskReport};
 use softwatt_isa::InstrSource;
 use softwatt_mem::MemHierarchy;
@@ -82,17 +82,9 @@ impl Simulator {
     }
 
     fn make_cpu(&self) -> Box<dyn Cpu> {
-        match self.config.cpu {
-            CpuModel::Mipsy => Box::new(MipsyCpu::new(self.config.mipsy)),
-            CpuModel::Mxs => Box::new(MxsCpu::new(self.config.mxs)),
-            CpuModel::MxsSingleIssue => Box::new(MxsCpu::new(MxsConfig {
-                bht_entries: self.config.mxs.bht_entries,
-                btb_entries: self.config.mxs.btb_entries,
-                ras_entries: self.config.mxs.ras_entries,
-                window_size: self.config.mxs.window_size,
-                lsq_size: self.config.mxs.lsq_size,
-                ..MxsConfig::single_issue()
-            })),
+        match self.config.mxs_core() {
+            Some(core) => Box::new(MxsCpu::new(core)),
+            None => Box::new(MipsyCpu::new(self.config.mipsy)),
         }
     }
 

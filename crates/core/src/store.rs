@@ -235,14 +235,6 @@ impl TraceStore {
         self.store_raw(key, &bytes);
     }
 
-    /// The raw `swtrace-v1` bytes of `key`'s entry, unvalidated — this is
-    /// what a peer streams over the fabric. The *receiver* parses and
-    /// checksum-verifies before trusting them, so a corrupt entry here
-    /// costs the peer a fallback simulation, never a bad answer.
-    pub fn load_raw(&self, key: &TraceKey) -> Option<Vec<u8>> {
-        fs::read(self.entry_path(key)).ok()
-    }
-
     /// Persists already-encoded `swtrace-v1` bytes under `key`,
     /// crash-safely: the bytes land in a temp file in the store directory,
     /// are fsynced, and are renamed over the final name, so concurrent
@@ -330,24 +322,6 @@ impl TraceStore {
             self.evict(&path);
             total = total.saturating_sub(len);
         }
-    }
-
-    /// Deletes every `.swtrace` entry in the store, returning how many
-    /// were removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first directory-listing or deletion error.
-    pub fn clear(&self) -> io::Result<usize> {
-        let mut removed = 0;
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "swtrace") {
-                fs::remove_file(&path)?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
     }
 
     fn evict(&self, path: &Path) {
@@ -463,9 +437,6 @@ mod tests {
         // A different key misses even though the file for `key` exists.
         let other = TraceKey::derive(&config, Benchmark::Db, config.cpu);
         assert!(store.load(&other).is_none());
-
-        assert_eq!(store.clear().unwrap(), 1);
-        assert!(store.load(&key).is_none(), "clear removed the entry");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -571,9 +542,9 @@ mod tests {
         let trace = sim.run_benchmark_traced(Benchmark::Jess).1;
         let key = TraceKey::derive(&config, Benchmark::Jess, config.cpu);
 
-        assert!(store.load_raw(&key).is_none(), "no entry, no bytes");
+        assert!(!store.contains(&key), "no entry, no bytes");
         store.store(&key, &trace);
-        let bytes = store.load_raw(&key).expect("raw bytes of the entry");
+        let bytes = fs::read(store.entry_path(&key)).expect("raw bytes of the entry");
         let (parsed, note) =
             PerfTrace::from_binary(io::Cursor::new(&bytes)).expect("raw bytes parse");
         assert_eq!(parsed, trace);

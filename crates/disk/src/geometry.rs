@@ -113,11 +113,6 @@ impl DriveGeometry {
         }
     }
 
-    /// Full-stroke seek time (ms).
-    pub fn max_seek_ms(&self) -> f64 {
-        self.seek_ms(0, self.cylinders - 1)
-    }
-
     /// Statistical average seek (one-third stroke, the datasheet number).
     pub fn avg_seek_ms(&self) -> f64 {
         self.seek_ms(0, self.cylinders / 3)

@@ -28,12 +28,12 @@ use softwatt_stats::hash::fnv1a;
 /// `1/sqrt(VNODES)`) while membership changes stay O(µs).
 pub const VNODES: usize = 128;
 
-/// Finalizing avalanche over an FNV-1a hash (the splitmix64 mixer).
+/// The splitmix64 finalizer: a full-avalanche 64-bit mixer.
 /// FNV alone disperses trailing-counter strings like `...|{replica}`
 /// poorly — sequential replicas land in clustered points and wreck the
 /// ring's balance — so every point and every looked-up key hash gets
-/// this full-avalanche pass first.
-fn mix(mut x: u64) -> u64 {
+/// this pass first.
+pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -65,7 +65,7 @@ impl Ring {
         for (index, node) in nodes.iter().enumerate() {
             for replica in 0..VNODES {
                 points.push((
-                    mix(fnv1a(format!("swring|{node}|{replica}").as_bytes())),
+                    mix64(fnv1a(format!("swring|{node}|{replica}").as_bytes())),
                     index,
                 ));
             }
@@ -96,7 +96,7 @@ impl Ring {
         if self.points.is_empty() {
             return None;
         }
-        let hash = mix(hash);
+        let hash = mix64(hash);
         let at = self.points.partition_point(|&(point, _)| point < hash);
         let (_, index) = self.points[if at == self.points.len() { 0 } else { at }];
         Some(&self.nodes[index])

@@ -13,7 +13,9 @@ use crate::registry::{self, Snapshot};
 /// Schema identifier of the exported document.
 pub const SCHEMA: &str = "softwatt-obs-v1";
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: quotes and backslashes escaped,
+/// control characters as `\u00XX`, everything else verbatim.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -28,10 +30,11 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
+/// Appends a float as a JSON number (`{:?}` is the shortest representation
+/// that round-trips, and is valid JSON for every finite value); non-finite
+/// values become `null`.
+pub fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        // `{:?}` is the shortest round-trip representation, which is valid
-        // JSON for every finite value.
         write!(out, "{v:?}").expect("write to string");
     } else {
         out.push_str("null");
@@ -59,7 +62,7 @@ pub fn to_json() -> String {
             gauges.push_str("    ");
             push_json_string(&mut gauges, name);
             gauges.push_str(": ");
-            push_f64(&mut gauges, g.get());
+            push_json_f64(&mut gauges, g.get());
         }
         Snapshot::Histogram(name, h) => {
             if !histograms.is_empty() {
@@ -146,11 +149,11 @@ mod tests {
     #[test]
     fn floats_render_as_json_numbers() {
         let mut s = String::new();
-        push_f64(&mut s, 1.5);
+        push_json_f64(&mut s, 1.5);
         s.push(' ');
-        push_f64(&mut s, 3.0);
+        push_json_f64(&mut s, 3.0);
         s.push(' ');
-        push_f64(&mut s, f64::NAN);
+        push_json_f64(&mut s, f64::NAN);
         assert_eq!(s, "1.5 3.0 null");
     }
 }

@@ -41,7 +41,7 @@ pub mod registry;
 mod span;
 
 pub use event::{event, event_enabled, log_level, set_log_level, Level};
-pub use json::{summary_table, to_json, SCHEMA};
+pub use json::{push_json_f64, push_json_string, summary_table, to_json, SCHEMA};
 pub use registry::{reset_metrics, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use span::Span;
 

@@ -138,13 +138,6 @@ impl ClockModel {
         let load: f64 = self.domain_c.iter().sum();
         self.tech.p_per_cycle(self.tree_c + load)
     }
-
-    /// Average switched clock capacitance per cycle at 50% domain activity
-    /// (used by the per-invocation energy-weight approximation).
-    pub fn mean_cycle_energy_j(&self) -> f64 {
-        let load: f64 = self.domain_c.iter().sum();
-        self.tech.e_full(self.tree_c + 0.5 * load)
-    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,8 @@
 
 use std::io::{self, Write};
 
+use softwatt_obs::push_json_string;
+
 /// Per-request byte budgets.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
@@ -380,22 +382,6 @@ impl Response {
         self.source = Some(source);
         self
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                write!(out, "\\u{:04x}", c as u32).expect("write to string");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Reason phrase for the status codes the service emits.

@@ -103,12 +103,6 @@ impl Clocking {
     pub fn cycles_to_machine_secs(&self, cycles: u64) -> f64 {
         cycles as f64 / self.hz
     }
-
-    /// Cycle period in seconds of machine time.
-    #[inline]
-    pub fn period_secs(&self) -> f64 {
-        1.0 / self.hz
-    }
 }
 
 impl Default for Clocking {

@@ -283,11 +283,6 @@ impl StatsCollector {
         self.profiler.exit(service, self.cycle, &self.combined)
     }
 
-    /// Service currently receiving attribution, if any.
-    pub fn current_service(&self) -> Option<ServiceId> {
-        self.profiler.current()
-    }
-
     /// Running totals (all emitted samples plus the open window).
     pub fn totals(&self) -> ModeCounters {
         let mut out = self.closed_totals.clone();

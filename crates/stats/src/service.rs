@@ -179,11 +179,6 @@ impl ServiceProfiler {
         self.stack.len()
     }
 
-    /// Service currently receiving attribution, if any.
-    pub fn current(&self) -> Option<ServiceId> {
-        self.stack.last().map(|f| f.service)
-    }
-
     /// Enters a new service invocation at the given cycle/counter state.
     pub fn enter(&mut self, service: ServiceId, cycle: u64, counters: &CounterSet) {
         // Bank the outgoing innermost frame's progress.

@@ -197,4 +197,26 @@ fn paper_shapes_hold() {
         0,
         "fig9 jess: too short for spin-up thrash"
     );
+
+    // ---- X1: the kernel's cycle share grows on the 4-wide core (§3.2).
+    for row in suite.ext_kernel_share_by_width() {
+        assert!(
+            row.superscalar_pct > row.single_issue_pct,
+            "x1 {}: kernel share {:.1}% single-issue vs {:.1}% 4-wide",
+            row.benchmark,
+            row.single_issue_pct,
+            row.superscalar_pct
+        );
+    }
+
+    // ---- X2: counts x another seed's per-invocation means estimate the
+    // kernel energy within the paper's ~10% (§3.3).
+    for row in suite.ext_kernel_energy_estimate() {
+        assert!(
+            row.error_pct().abs() < 10.0,
+            "x2 {}: estimate error {:+.1}%",
+            row.benchmark,
+            row.error_pct()
+        );
+    }
 }

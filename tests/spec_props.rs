@@ -10,7 +10,7 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
 use softwatt::budget::system_budget;
-use softwatt::experiments::{DiskSetup, ExperimentSuite};
+use softwatt::experiments::{DiskSetup, ExperimentSuite, RunKey};
 use softwatt::{
     BenchmarkSpec, CpuModel, IdleHandling, IoBurst, Mode, PhaseSpec, Simulator, SyscallRates,
     SystemConfig,
@@ -204,12 +204,13 @@ proptest! {
         let replay = ExperimentSuite::new(fast_config()).expect("valid config");
         let full = ExperimentSuite::with_full_simulation(fast_config()).expect("valid config");
         for disk in [DiskSetup::Conventional, DiskSetup::IdleOnly] {
-            let a = replay
-                .run_spec(spec.clone(), CpuModel::Mxs, disk)
-                .expect("gate-accepted spec");
-            let b = full
-                .run_spec(spec.clone(), CpuModel::Mxs, disk)
-                .expect("gate-accepted spec");
+            let key = |suite: &ExperimentSuite| RunKey {
+                workload: suite.register_spec(spec.clone()).expect("gate-accepted spec"),
+                cpu: CpuModel::Mxs,
+                disk,
+            };
+            let a = replay.run_key(key(&replay));
+            let b = full.run_key(key(&full));
             prop_assert_eq!(a.run.cycles, b.run.cycles);
             prop_assert_eq!(a.run.committed, b.run.committed);
             prop_assert_eq!(&a.run.log, &b.run.log, "sample-for-sample log equality");

@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use softwatt::experiments::{DiskSetup, ExperimentSuite};
+use softwatt::experiments::{DiskSetup, ExperimentSuite, RunKey};
 use softwatt::{
     Benchmark, CpuModel, IdleHandling, RunResult, Simulator, SystemConfig, TraceKey, TraceStore,
 };
@@ -226,12 +226,15 @@ fn spec_workloads_survive_a_restart_through_the_store() {
     let mut spec = Benchmark::Jess.spec();
     spec.name = "jess-tuned".to_string();
 
+    let key = |suite: &ExperimentSuite, disk| RunKey {
+        workload: suite.register_spec(spec.clone()).expect("valid spec"),
+        cpu: CpuModel::Mxs,
+        disk,
+    };
     let first = ExperimentSuite::new(config.clone())
         .unwrap()
         .with_trace_store(TraceStore::open(&dir).expect("open scratch store"));
-    let direct = first
-        .run_spec(spec.clone(), CpuModel::Mxs, DiskSetup::Conventional)
-        .expect("valid spec");
+    let direct = first.run_key(key(&first, DiskSetup::Conventional));
     assert_eq!(first.runs_executed(), 1, "cold spec costs one capture");
 
     // "Restart": a brand-new suite (empty memo, fresh spec registry) over
@@ -239,9 +242,7 @@ fn spec_workloads_survive_a_restart_through_the_store() {
     let second = ExperimentSuite::new(config)
         .unwrap()
         .with_trace_store(TraceStore::open(&dir).expect("reopen scratch store"));
-    let replayed = second
-        .run_spec(spec.clone(), CpuModel::Mxs, DiskSetup::Conventional)
-        .expect("valid spec");
+    let replayed = second.run_key(key(&second, DiskSetup::Conventional));
     assert_eq!(
         second.runs_executed(),
         0,
@@ -255,9 +256,7 @@ fn spec_workloads_survive_a_restart_through_the_store() {
 
     // A sibling disk policy of the same spec derives from the one stored
     // trace — still no simulation.
-    let sibling = second
-        .run_spec(spec, CpuModel::Mxs, DiskSetup::IdleOnly)
-        .expect("valid spec");
+    let sibling = second.run_key(key(&second, DiskSetup::IdleOnly));
     assert_eq!(second.runs_executed(), 0, "sibling policy replays");
     assert_eq!(sibling.run.committed, replayed.run.committed);
 
