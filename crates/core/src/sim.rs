@@ -6,9 +6,7 @@ use softwatt_isa::InstrSource;
 use softwatt_mem::MemHierarchy;
 use softwatt_os::{IdleLoop, KernelService, OsConfig, SystemOs};
 use softwatt_power::PowerModel;
-use softwatt_stats::{
-    Mode, PerfTrace, Segments, ServiceProfiler, SimLog, StatsCollector, UnitEvent,
-};
+use softwatt_stats::{Mode, PerfTrace, ServiceProfiler, SimLog, StatsCollector, UnitEvent};
 use softwatt_workloads::{Benchmark, BenchmarkSpec, Workload};
 
 use crate::config::{CpuModel, IdleHandling, SystemConfig};
@@ -210,14 +208,11 @@ impl Simulator {
         if capture {
             os.start_request_capture();
         }
-        // Sample-index boundaries (before, after) of each analytic gap, for
-        // splitting the log into policy-independent work segments.
-        let mut marks: Vec<(usize, usize)> = Vec::new();
 
         // Safety net: a run that exceeds this is a livelock, not a workload.
         let cycle_cap = 400_000_000u64;
         loop {
-            let out = cpu.cycle(&mut *os_as_source(&mut os), &mut mem, &mut stats);
+            let out = cpu.cycle(&mut os, &mut mem, &mut stats);
             if let Some(event) = out.event {
                 os.handle_event(event, &mut stats);
             }
@@ -227,20 +222,14 @@ impl Simulator {
                 break;
             }
             // Analytic idle handling: account for the whole blocked stretch
-            // arithmetically, flushing the sample window at the request
-            // boundary even when the gap is empty (the gap length is the
-            // only policy-dependent quantity, so samples must never
-            // straddle a boundary).
+            // arithmetically, flushing the sample window and closing the
+            // log's work segment at the request boundary even when the gap
+            // is empty (the gap length is the only policy-dependent
+            // quantity, so samples must never straddle a boundary).
             if let (Some(rates), Some(until)) = (&idle_rates, os.blocked_until()) {
-                let now = stats.cycle();
-                let gap = until.saturating_sub(now);
-                stats.flush_window();
-                let before = stats.samples_emitted();
+                let gap = until.saturating_sub(stats.cycle());
                 stats.skip_idle_gap(gap, &rates.per_cycle, KernelService::IdleProcess.id());
                 os.complete_block(gap);
-                if capture {
-                    marks.push((before, stats.samples_emitted()));
-                }
             }
             assert!(stats.cycle() < cycle_cap, "runaway simulation");
         }
@@ -253,19 +242,8 @@ impl Simulator {
         let (log, services) = stats.finish_with_services();
         let disk_report = os.into_disk().report(cycles);
         let trace = capture.then(|| {
-            // Copy the work windows into the trace's segments, leaving out
-            // each gap's windows `before..after`; the final segment runs
-            // to the end of the log.
-            let mut windows = log.windows();
-            let mut segments = Vec::with_capacity(marks.len() + 1);
-            let mut at = 0;
-            for &(before, after) in marks.iter().chain([&(log.len(), log.len())]) {
-                let mut segment = Vec::with_capacity(before - at);
-                segment.extend(windows.by_ref().take(before - at).map(|w| w.to_sample()));
-                segments.push(segment);
-                windows.by_ref().take(after - before).for_each(drop);
-                at = after;
-            }
+            // The log's block holds exactly the work windows, split into
+            // segments at the gaps: the trace shares it.
             let mut work_services: Vec<_> = services
                 .aggregates()
                 .iter()
@@ -276,7 +254,7 @@ impl Simulator {
             let trace = PerfTrace {
                 clocking,
                 sample_interval: self.config.sample_interval_cycles,
-                segments: Segments::new(segments),
+                segments: log.block().clone(),
                 requests,
                 idle_rates: idle_rates
                     .as_ref()
@@ -395,12 +373,6 @@ impl Simulator {
                 .collect(),
         }
     }
-}
-
-/// Adapter: `SystemOs` already implements `InstrSource`; this keeps the
-/// call site readable under the borrow checker.
-fn os_as_source(os: &mut SystemOs) -> &mut SystemOs {
-    os
 }
 
 struct IdleSource(IdleLoop);
@@ -523,6 +495,24 @@ mod tests {
             "{}",
             spec_key.descriptor()
         );
+    }
+
+    /// A capture hands its log's block to its trace: post-processing the
+    /// capture run's log fills the memo that the trace's replays read.
+    #[test]
+    fn capture_shares_its_block_with_its_trace() {
+        let config = quick_config();
+        let sim = Simulator::new(config.clone()).unwrap();
+        let (run, trace) = sim.capture(&Benchmark::Jess.spec());
+        assert!(trace.segments.memo().get().is_none());
+        let model = PowerModel::new(&config.power_params());
+        let table = model.mode_table(&run.log);
+        assert!(
+            trace.segments.memo().get().is_some(),
+            "post-processing the capture log fills the trace's memo"
+        );
+        let replayed = sim.replay_trace(&trace);
+        assert_eq!(model.mode_table(&replayed.log), table);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::units::UnitEnergies;
 /// Conditional-clocking style, after Wattch's CC1/CC2/CC3 taxonomy. The
 /// paper uses the simple style ([`ClockGating::Gated`]): a unit burns full
 /// per-access power when used and nothing when idle. The alternatives
-/// exist for ablation (see the `ablations` bench).
+/// exist for ablation (see harness X6, `ExperimentSuite::ext_gating_study`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ClockGating {
     /// CC1: no gating — every unit burns its peak power every cycle.
@@ -303,7 +303,7 @@ impl PowerModel {
     /// Per-event energy weights for the service profiler's online
     /// per-invocation energy tracking.
     ///
-    /// The per-cycle clock charge is deliberately zero: kernel-service
+    /// There is deliberately no per-cycle clock charge: kernel-service
     /// energies (the paper's Tables 4/5 and Figure 8) are event-based, and
     /// folding a per-cycle clock term into invocations would let
     /// microarchitectural cycle-count jitter (cold I-cache entries,
@@ -313,7 +313,6 @@ impl PowerModel {
     pub fn energy_weights(&self) -> EnergyWeights {
         EnergyWeights {
             per_event_j: self.energy_j,
-            per_cycle_j: 0.0,
         }
     }
 }
@@ -380,7 +379,6 @@ mod tests {
     fn weights_are_event_based() {
         let m = PowerModel::new(&PowerParams::default());
         let w = m.energy_weights();
-        assert_eq!(w.per_cycle_j, 0.0, "invocation energy is event-based");
         assert_eq!(
             w.per_event_j[UnitEvent::AluOp.index()],
             m.event_energy_j(UnitEvent::AluOp)

@@ -2,16 +2,17 @@
 //! tables — the paper's offline pipeline (Figure 1's "Analytical Power
 //! Models" stage).
 //!
-//! Logs replayed from one trace share its work windows (see
-//! [`softwatt_stats::Segments`]), and those windows' energies do not depend
-//! on the disk policy. The first post-processing call on such a log
-//! therefore computes every work window's energies once and keeps them in
-//! the trace block's memo slot, tagged with its power model; later calls
-//! with an equal model read them from there. An idle-gap run computes its
-//! first window and one event-free window per call. Every energy is
-//! `window_energy_j` of the same counts and cycles as before, folded in the
-//! same window and mode order, so every result is bit-identical to
-//! post-processing an owned copy of the log.
+//! A log keeps its work windows in a block (see
+//! [`softwatt_stats::Segments`]) that a capture run's log shares with its
+//! trace and every log replayed from the trace, and those windows'
+//! energies do not depend on the disk policy. The first post-processing
+//! call on a block therefore computes every work window's energies once
+//! and keeps them in the block's memo slot, tagged with its power model;
+//! later calls with an equal model read them from there. An idle-gap run
+//! computes its first window and one event-free window per call. Every
+//! energy is `window_energy_j` of the same counts and cycles, folded in
+//! window and mode order, so every result is bit-identical to computing
+//! each window directly.
 
 use softwatt_stats::{LogRun, Mode, SimLog, Window};
 
@@ -213,8 +214,8 @@ impl PowerModel {
     }
 
     /// Calls `f` on every window of `log`, in order, with its energies.
-    /// Shared work windows read them from the block memo when this model
-    /// owns it. An idle gap's full windows after its first carry no events
+    /// Work windows read them from the block memo when this model owns
+    /// it. An idle gap's full windows after its first carry no events
     /// ([`LogRun::IdleGap`]), so their energies are computed once per
     /// call. Every other window computes them directly (the whole
     /// window's entry only if `whole`).
@@ -268,15 +269,12 @@ impl PowerModel {
         out
     }
 
-    /// The energies of `log`'s shared work windows, in block order, if
-    /// this model owns the block's memo. The first call on a block fills
-    /// the memo and so owns it; a call with any other model gets `None`
-    /// and caches nothing. Counts the call once, at this boundary.
+    /// The energies of `log`'s work windows, in block order, if this model
+    /// owns the block's memo. The first call on a block fills the memo and
+    /// so owns it; a call with any other model gets `None` and caches
+    /// nothing. Counts the call once, at this boundary.
     fn block_memo<'a>(&self, log: &'a SimLog) -> Option<&'a [WindowEnergies]> {
-        let Some(block) = log.shared() else {
-            count_post_call(false, false);
-            return None;
-        };
+        let block = log.block();
         let mut filled = false;
         let memo = block.memo().get_or_init(|| {
             filled = true;

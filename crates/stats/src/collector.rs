@@ -1,9 +1,36 @@
 //! The per-simulation statistics sink.
 
+use crate::log::Part;
 use crate::{
-    Clocking, CounterSet, EnergyWeights, InvocationRecord, Mode, ModeCounters, Sample, ServiceId,
-    ServiceProfiler, SimLog,
+    Clocking, CounterSet, EnergyWeights, InvocationRecord, Mode, ModeCounters, Sample, Segments,
+    ServiceId, ServiceProfiler, SimLog, UnitEvent,
 };
+
+/// The idle-loop events of a `gap`-cycle analytic idle stretch, synthesized
+/// from the measured per-cycle `rates` (paper §3.3), in `rates` order.
+///
+/// The fractional part of `rate * gap` is carried to the next gap in
+/// `residual` instead of being truncated, so however the run's idle time
+/// is cut into gaps, the synthesized event totals stay within one event of
+/// `rate * total_gap`, deterministically, since the residual depends only
+/// on the sequence of `(gap, rates)` calls. The collector
+/// ([`StatsCollector::skip_idle_gap`]) and trace replay
+/// ([`crate::PerfTrace::fast_replay`]) both call this, so they make the
+/// same sequence of calls and synthesize the same events.
+pub(crate) fn idle_gap_events(
+    rates: &[(UnitEvent, f64)],
+    gap: u64,
+    residual: &mut [f64; UnitEvent::COUNT],
+) -> CounterSet {
+    let mut events = CounterSet::new();
+    for &(event, rate) in rates {
+        let exact = rate * gap as f64 + residual[event.index()];
+        let whole = exact as u64;
+        residual[event.index()] = (exact - whole as f64).clamp(0.0, 1.0);
+        events.add(event, whole);
+    }
+    events
+}
 
 /// Central event sink for one simulation run.
 ///
@@ -12,6 +39,12 @@ use crate::{
 /// [`Mode`]s and brackets kernel-service invocations. When the run finishes,
 /// [`StatsCollector::finish`] yields the [`SimLog`] for power post-processing
 /// together with the service aggregates.
+///
+/// The log's work windows are kept one vector per *segment*: every
+/// [`StatsCollector::skip_idle_gap`] call closes the open segment, and the
+/// gap itself is recorded as one analytic idle-gap run. `finish` builds
+/// the segments into the log's shared block, which a trace capture hands
+/// on to its [`crate::PerfTrace`] as is.
 ///
 /// # Examples
 ///
@@ -38,7 +71,7 @@ pub struct StatsCollector {
     // so it does exactly two array increments: this delta and `combined`.
     // Windows fold the array into a [`Sample`] (and into `closed_totals`)
     // on flush — no snapshot clone, no delta subtraction.
-    window_events: [u64; Mode::COUNT * crate::UnitEvent::COUNT],
+    window_events: [u64; Mode::COUNT * UnitEvent::COUNT],
     // `mode.index() * UnitEvent::COUNT`, cached on every mode switch.
     mode_base: usize,
     // Totals of all *emitted* samples; `totals()` adds the open window.
@@ -56,11 +89,14 @@ pub struct StatsCollector {
     // policy-independent work clock.
     idle_skipped: u64,
     // Fractional idle events left over from previous skipped gaps, per
-    // event. Carrying the residual across gaps keeps the synthesized
-    // totals within one event of `rate * total_gap` no matter how the
-    // idle time is split into gaps.
-    idle_residual: [f64; crate::UnitEvent::COUNT],
-    log: SimLog,
+    // event (see `idle_gap_events`).
+    idle_residual: [f64; UnitEvent::COUNT],
+    clocking: Clocking,
+    // The closed segments' samples, then the open segment's.
+    segments: Vec<Vec<Sample>>,
+    samples: Vec<Sample>,
+    // The log's runs so far; `finish` adds the open segment's.
+    parts: Vec<Part>,
     profiler: ServiceProfiler,
 }
 
@@ -90,8 +126,8 @@ impl StatsCollector {
         StatsCollector {
             cycle: 0,
             mode: Mode::User,
-            window_events: [0; Mode::COUNT * crate::UnitEvent::COUNT],
-            mode_base: Mode::User.index() * crate::UnitEvent::COUNT,
+            window_events: [0; Mode::COUNT * UnitEvent::COUNT],
+            mode_base: Mode::User.index() * UnitEvent::COUNT,
             closed_totals: ModeCounters::new(),
             combined: CounterSet::new(),
             mode_cycles: [0; Mode::COUNT],
@@ -99,8 +135,11 @@ impl StatsCollector {
             window_start_cycle: 0,
             sample_interval,
             idle_skipped: 0,
-            idle_residual: [0.0; crate::UnitEvent::COUNT],
-            log: SimLog::new(clocking, sample_interval),
+            idle_residual: [0.0; UnitEvent::COUNT],
+            clocking,
+            segments: Vec::new(),
+            samples: Vec::new(),
+            parts: Vec::new(),
             profiler: ServiceProfiler::new(weights),
         }
     }
@@ -121,11 +160,6 @@ impl StatsCollector {
         self.cycle - self.idle_skipped
     }
 
-    /// Number of samples emitted into the log so far.
-    pub fn samples_emitted(&self) -> usize {
-        self.log.len()
-    }
-
     /// Current software mode.
     #[inline]
     pub fn mode(&self) -> Mode {
@@ -137,19 +171,19 @@ impl StatsCollector {
     #[inline]
     pub fn set_mode(&mut self, mode: Mode) {
         self.mode = mode;
-        self.mode_base = mode.index() * crate::UnitEvent::COUNT;
+        self.mode_base = mode.index() * UnitEvent::COUNT;
     }
 
     /// Records one occurrence of `event` in the current mode.
     #[inline]
-    pub fn record(&mut self, event: crate::UnitEvent) {
+    pub fn record(&mut self, event: UnitEvent) {
         self.window_events[self.mode_base + event.index()] += 1;
         self.combined.add(event, 1);
     }
 
     /// Records `n` occurrences of `event` in the current mode.
     #[inline]
-    pub fn record_n(&mut self, event: crate::UnitEvent, n: u64) {
+    pub fn record_n(&mut self, event: UnitEvent, n: u64) {
         self.window_events[self.mode_base + event.index()] += n;
         self.combined.add(event, n);
     }
@@ -199,28 +233,21 @@ impl StatsCollector {
 
     /// Fast-forwards over a disk-blocked idle stretch analytically: the
     /// paper's §3.3 acceleration, packaged so the capture run and the
-    /// policy-replay path execute the *identical* sequence of collector
-    /// operations (and therefore produce bit-identical logs, aggregates
-    /// and energy sums).
+    /// policy-replay path record the *identical* log, aggregates and energy
+    /// sums.
     ///
-    /// The surrounding windows are flushed, `gap` cycles are attributed to
-    /// [`Mode::Idle`] inside an `idle_service` frame, and idle-loop events
-    /// are synthesized from the measured per-cycle `rates`. A zero-length
-    /// gap only flushes the window (the boundary is still policy-relevant).
-    ///
-    /// The fractional part of `rate * gap` is carried to the next gap
-    /// instead of being truncated, so however the run's idle time is cut
-    /// into gaps, the synthesized event totals stay within one event of
-    /// `rate * total_gap` — deterministically, since the residual depends
-    /// only on the sequence of `(gap, rates)` calls (which is identical
-    /// between a direct simulation and a trace replay of the same policy).
-    pub fn skip_idle_gap(
-        &mut self,
-        gap: u64,
-        rates: &[(crate::UnitEvent, f64)],
-        idle_service: ServiceId,
-    ) {
+    /// The window is flushed and the open segment closed, then `gap` cycles
+    /// are attributed to [`Mode::Idle`] inside an `idle_service` frame,
+    /// with idle-loop events synthesized from the measured per-cycle
+    /// `rates` by the residual carry of `idle_gap_events`. The gap is
+    /// recorded as one analytic run: its first window carries every event
+    /// (the synthesized ones and any recorded since the last tick), and the
+    /// rest are event-free, exactly the windows that ticking through the
+    /// gap would emit. A zero-length gap only flushes and closes the
+    /// segment (the boundary is still policy-relevant).
+    pub fn skip_idle_gap(&mut self, gap: u64, rates: &[(UnitEvent, f64)], idle_service: ServiceId) {
         self.flush_window();
+        self.close_segment();
         if gap == 0 {
             return;
         }
@@ -229,17 +256,21 @@ impl StatsCollector {
         let prev_mode = self.mode;
         self.enter_service(idle_service);
         self.set_mode(Mode::Idle);
-        for &(event, rate) in rates {
-            let exact = rate * gap as f64 + self.idle_residual[event.index()];
-            let whole = exact as u64;
-            self.idle_residual[event.index()] = (exact - whole as f64).clamp(0.0, 1.0);
-            self.record_n(event, whole);
+        for (event, n) in idle_gap_events(rates, gap, &mut self.idle_residual).iter() {
+            self.record_n(event, n);
         }
-        self.tick_n(gap);
+        let events = self.take_window_events();
+        self.parts.push(Part::IdleGap {
+            cycles: gap,
+            events: Box::new(events),
+        });
+        self.mode_cycles[Mode::Idle.index()] += gap;
+        self.cycle += gap;
         self.idle_skipped += gap;
+        self.window_start_mode_cycles = self.mode_cycles;
+        self.window_start_cycle = self.cycle;
         self.exit_service(idle_service);
         self.set_mode(prev_mode);
-        self.flush_window();
     }
 
     /// Replays a previously captured [`Sample`] through this collector:
@@ -306,14 +337,19 @@ impl StatsCollector {
         &self.profiler
     }
 
+    /// The open window's events, folded into the closed totals and reset.
+    /// The accumulator *is* the window's delta: no snapshot clone, no
+    /// delta subtraction.
+    fn take_window_events(&mut self) -> ModeCounters {
+        let events = ModeCounters::from_flat(&self.window_events);
+        self.window_events = [0; Mode::COUNT * UnitEvent::COUNT];
+        self.closed_totals.merge(&events);
+        events
+    }
+
     fn emit_sample(&mut self) {
         softwatt_obs::count("stats.samples_emitted", 1);
-        // The open-window accumulator *is* the sample delta: fold it into
-        // the closed totals and reset it, instead of cloning full totals
-        // and subtracting snapshots.
-        let events = ModeCounters::from_flat(&self.window_events);
-        self.window_events = [0; Mode::COUNT * crate::UnitEvent::COUNT];
-        self.closed_totals.merge(&events);
+        let events = self.take_window_events();
         let mut mode_cycles = [0; Mode::COUNT];
         for (out, (now, start)) in mode_cycles
             .iter_mut()
@@ -321,7 +357,7 @@ impl StatsCollector {
         {
             *out = now - start;
         }
-        self.log.push(Sample {
+        self.samples.push(Sample {
             end_cycle: self.cycle,
             mode_cycles,
             events,
@@ -330,12 +366,16 @@ impl StatsCollector {
         self.window_start_cycle = self.cycle;
     }
 
+    /// Closes the open segment: its samples become the next segment of
+    /// the log's block.
+    fn close_segment(&mut self) {
+        self.parts.push(Part::Segment(self.segments.len()));
+        self.segments.push(std::mem::take(&mut self.samples));
+    }
+
     /// Flushes any partial window and returns the completed log.
-    pub fn finish(mut self) -> SimLog {
-        if self.cycle > self.window_start_cycle {
-            self.emit_sample();
-        }
-        self.log
+    pub fn finish(self) -> SimLog {
+        self.finish_with_services().0
     }
 
     /// Flushes any partial window and returns the log together with the
@@ -344,7 +384,10 @@ impl StatsCollector {
         if self.cycle > self.window_start_cycle {
             self.emit_sample();
         }
-        (self.log, self.profiler)
+        self.close_segment();
+        let block = Segments::new(self.segments);
+        let log = SimLog::new(self.clocking, self.sample_interval, block, self.parts);
+        (log, self.profiler)
     }
 }
 
@@ -435,7 +478,6 @@ mod tests {
         s.tick_n(3);
         s.flush_window();
         s.flush_window(); // empty window: no-op
-        assert_eq!(s.samples_emitted(), 1);
         s.tick_n(10);
         let log = s.finish();
         assert_eq!(log.len(), 2);
@@ -475,10 +517,86 @@ mod tests {
         let mut s = StatsCollector::new(Clocking::default(), 100);
         s.tick_n(7);
         s.skip_idle_gap(0, &[], ServiceId(12));
-        assert_eq!(s.samples_emitted(), 1);
         assert_eq!(s.work_cycle(), 7);
-        let (_, prof) = s.finish_with_services();
+        s.tick_n(5);
+        let (log, prof) = s.finish_with_services();
+        let cycles: Vec<u64> = log.windows().map(|w| w.cycles()).collect();
+        assert_eq!(cycles, [7, 5], "the window is flushed at the boundary");
+        assert_eq!(log.block().len(), 2, "and the segment closed");
         assert!(prof.aggregates().is_empty(), "no idle frame for a zero gap");
+    }
+
+    /// An analytic gap run reads exactly like ticking through the gap. For
+    /// gaps shorter than, equal to and several times the sampling interval,
+    /// with the residual carried from gap to gap, the collector's windows,
+    /// totals and idle-service aggregate equal those of a reference that
+    /// records the same idle events and then calls `tick()` once per gap
+    /// cycle.
+    #[test]
+    fn idle_gap_windows_match_ticking_through_the_gap() {
+        let interval = 10;
+        let rates = [(UnitEvent::IcacheAccess, 0.35), (UnitEvent::AluOp, 1.7)];
+        let mut weights = EnergyWeights::zero();
+        weights.per_event_j[UnitEvent::AluOp.index()] = 0.3e-9;
+        weights.per_event_j[UnitEvent::IcacheAccess.index()] = 1.1e-9;
+        let idle = ServiceId(12);
+        let collector =
+            || StatsCollector::with_weights(Clocking::default(), interval, weights.clone());
+        let (mut fast, mut reference) = (collector(), collector());
+        let mut residual = [0.0; UnitEvent::COUNT];
+        let gaps = [3u64, 10, 47, 0, 7, 30, 20];
+        for (i, &gap) in gaps.iter().enumerate() {
+            for s in [&mut fast, &mut reference] {
+                s.set_mode(Mode::User);
+                s.record_n(UnitEvent::AluOp, 2);
+                s.tick_n(4 + i as u64);
+                if i % 3 == 2 {
+                    // An event recorded after the last tick lands in the
+                    // gap's first window.
+                    s.flush_window();
+                    s.record(UnitEvent::DcacheRead);
+                }
+            }
+            fast.skip_idle_gap(gap, &rates, idle);
+            reference.flush_window();
+            if gap > 0 {
+                reference.enter_service(idle);
+                reference.set_mode(Mode::Idle);
+                for (event, n) in idle_gap_events(&rates, gap, &mut residual).iter() {
+                    reference.record_n(event, n);
+                }
+                for _ in 0..gap {
+                    reference.tick();
+                }
+                reference.exit_service(idle);
+                reference.set_mode(Mode::User);
+                reference.flush_window();
+            }
+        }
+        let skipped: u64 = gaps.iter().sum();
+        assert_eq!(fast.cycle(), reference.cycle());
+        assert_eq!(fast.work_cycle(), reference.cycle() - skipped);
+        assert_eq!(fast.totals(), reference.totals());
+        assert_eq!(fast.combined(), reference.combined());
+        for mode in Mode::ALL {
+            assert_eq!(fast.mode_cycles(mode), reference.mode_cycles(mode));
+        }
+        let (fast_log, fast_prof) = fast.finish_with_services();
+        let (ref_log, ref_prof) = reference.finish_with_services();
+        let gap_windows: Vec<usize> = fast_log
+            .runs()
+            .filter(|run| matches!(run, crate::LogRun::IdleGap { .. }))
+            .map(|run| run.windows().count())
+            .collect();
+        assert_eq!(gap_windows, [1, 1, 5, 1, 3, 2], "one run per non-empty gap");
+        assert_eq!(fast_log, ref_log);
+        let (a, b) = (
+            &fast_prof.aggregates()[&idle],
+            &ref_prof.aggregates()[&idle],
+        );
+        assert_eq!(a, b);
+        assert_eq!(a.energy_sum_j.to_bits(), b.energy_sum_j.to_bits());
+        assert_eq!(a.energy_sumsq_j2.to_bits(), b.energy_sumsq_j2.to_bits());
     }
 
     #[test]

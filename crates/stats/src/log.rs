@@ -7,12 +7,15 @@
 //! models. This loses per-cycle information (as the paper acknowledges) but
 //! adds no simulation slowdown.
 //!
-//! A log is a short list of *runs* read through one window iterator
-//! ([`SimLog::windows`]): the collector's own samples, a segment of a
-//! trace's shared work block ([`crate::Segments`]) placed at a start
-//! cycle, or one analytic idle gap. A log replayed from a trace therefore
-//! shares the trace's work windows instead of copying them, while reading
-//! exactly like the log a direct simulation writes.
+//! Every log has one layout, read through one window iterator
+//! ([`SimLog::windows`]): the work windows live in a shared block
+//! ([`crate::Segments`]), and the log is a list of *runs* laid end to end
+//! from cycle 0, each either one segment of that block or one analytic
+//! idle gap. The collector writes its own block this way, a log replayed
+//! from a trace reads the trace's block in place, and a capture hands the
+//! block it wrote to its trace. Run start cycles and window end cycles are
+//! derived from the cycle counts, so a log cannot hold a window whose end
+//! cycle disagrees with the windows before it.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -82,11 +85,9 @@ static NO_EVENTS: ModeCounters = ModeCounters::new();
 /// it (see [`SimLog::runs`]).
 #[derive(Debug, Clone, Copy)]
 pub enum LogRun<'a> {
-    /// Samples stored in the log itself, read verbatim.
-    Owned(&'a [Sample]),
-    /// A segment of the log's shared block ([`SimLog::shared`]), read
-    /// with end cycles counted from `start_cycle`. Its samples sit at
-    /// `offset..offset + samples.len()` of `shared.samples()`.
+    /// A segment of the log's block ([`SimLog::block`]), read with end
+    /// cycles counted from `start_cycle`. Its samples sit at
+    /// `offset..offset + samples.len()` of `block.samples()`.
     Segment {
         /// The segment's samples.
         samples: &'a [Sample],
@@ -106,7 +107,9 @@ pub enum LogRun<'a> {
         cycles: u64,
         /// Sampling interval the gap is cut by.
         interval: u64,
-        /// Events of the gap's first window (all in [`Mode::Idle`]).
+        /// Events of the gap's first window: the synthesized idle events
+        /// (in [`Mode::Idle`]) plus any the collector recorded after its
+        /// last tick before the gap.
         events: &'a ModeCounters,
     },
 }
@@ -115,17 +118,13 @@ impl<'a> LogRun<'a> {
     /// The run's windows in cycle order.
     pub fn windows(self) -> RunWindows<'a> {
         RunWindows(match self {
-            LogRun::Owned(samples) => Cursor::Samples {
-                samples: samples.iter(),
-                cycle: None,
-            },
             LogRun::Segment {
                 samples,
                 start_cycle,
                 ..
             } => Cursor::Samples {
                 samples: samples.iter(),
-                cycle: Some(start_cycle),
+                cycle: start_cycle,
             },
             LogRun::IdleGap {
                 start_cycle,
@@ -150,9 +149,8 @@ pub struct RunWindows<'a>(Cursor<'a>);
 enum Cursor<'a> {
     Samples {
         samples: std::slice::Iter<'a, Sample>,
-        // Running end cycle for a shared segment; `None` reads each
-        // sample's own `end_cycle`.
-        cycle: Option<u64>,
+        // Running end cycle.
+        cycle: u64,
     },
     IdleGap {
         cycle: u64,
@@ -169,10 +167,8 @@ impl<'a> Iterator for RunWindows<'a> {
         match &mut self.0 {
             Cursor::Samples { samples, cycle } => {
                 let mut w = samples.next()?.window();
-                if let Some(c) = cycle {
-                    *c += w.cycles();
-                    w.end_cycle = *c;
-                }
+                *cycle += w.cycles();
+                w.end_cycle = *cycle;
                 Some(w)
             }
             Cursor::IdleGap {
@@ -199,16 +195,15 @@ impl<'a> Iterator for RunWindows<'a> {
     }
 }
 
-/// How a [`SimLog`] stores one run (see [`LogRun`]).
+/// How a [`SimLog`] stores one run (see [`LogRun`]). Runs are laid end
+/// to end from cycle 0.
 #[derive(Debug, Clone)]
-enum Part {
-    Owned(Vec<Sample>),
-    Segment {
-        index: usize,
-        start_cycle: u64,
-    },
+pub(crate) enum Part {
+    /// Segment `index` of the log's block.
+    Segment(usize),
+    /// An analytic idle gap of `cycles` cycles whose first window carries
+    /// `events`.
     IdleGap {
-        start_cycle: u64,
         cycles: u64,
         events: Box<ModeCounters>,
     },
@@ -216,9 +211,7 @@ enum Part {
 
 /// A sequence of sampling windows plus whole-run metadata.
 ///
-/// Equality compares window by window, whatever runs hold them: a log
-/// replayed from a trace equals the owned log a direct simulation writes
-/// when every window matches.
+/// Equality compares window by window, whatever runs hold them.
 ///
 /// # Examples
 ///
@@ -240,63 +233,25 @@ enum Part {
 pub struct SimLog {
     clocking: crate::Clocking,
     sample_interval: u64,
-    // The trace block every `Part::Segment` indexes into.
-    shared: Option<Segments>,
+    // The block every `Part::Segment` indexes into.
+    block: Segments,
     parts: Vec<Part>,
-    len: usize,
 }
 
 impl SimLog {
-    pub(crate) fn new(clocking: crate::Clocking, sample_interval: u64) -> SimLog {
+    /// The log whose runs are `parts`, reading segments from `block`.
+    pub(crate) fn new(
+        clocking: crate::Clocking,
+        sample_interval: u64,
+        block: Segments,
+        parts: Vec<Part>,
+    ) -> SimLog {
         SimLog {
             clocking,
             sample_interval,
-            shared: None,
-            parts: Vec::new(),
-            len: 0,
+            block,
+            parts,
         }
-    }
-
-    pub(crate) fn push(&mut self, sample: Sample) {
-        self.len += 1;
-        if let Some(Part::Owned(samples)) = self.parts.last_mut() {
-            debug_assert!(
-                samples
-                    .last()
-                    .is_none_or(|s| s.end_cycle < sample.end_cycle),
-                "samples must be appended in cycle order"
-            );
-            samples.push(sample);
-        } else {
-            self.parts.push(Part::Owned(vec![sample]));
-        }
-    }
-
-    /// Appends segment `index` of the shared block `segments`, starting at
-    /// `start_cycle`. A log shares at most one block.
-    pub(crate) fn push_segment(&mut self, segments: &Segments, index: usize, start_cycle: u64) {
-        let count = segments.get(index).len();
-        if count == 0 {
-            return;
-        }
-        let shared = self.shared.get_or_insert_with(|| segments.clone());
-        assert!(shared.ptr_eq(segments), "a log shares one block");
-        self.len += count;
-        self.parts.push(Part::Segment { index, start_cycle });
-    }
-
-    /// Appends an idle gap of `cycles` cycles starting at `start_cycle`
-    /// whose first window carries `events`.
-    pub(crate) fn push_idle_gap(&mut self, start_cycle: u64, cycles: u64, events: ModeCounters) {
-        if cycles == 0 {
-            return;
-        }
-        self.len += cycles.div_ceil(self.sample_interval) as usize;
-        self.parts.push(Part::IdleGap {
-            start_cycle,
-            cycles,
-            events: Box::new(events),
-        });
     }
 
     /// The clocking the run was performed under.
@@ -312,41 +267,49 @@ impl SimLog {
 
     /// Number of windows.
     pub fn len(&self) -> usize {
-        self.len
+        self.parts
+            .iter()
+            .map(|part| match part {
+                Part::Segment(index) => self.block.get(*index).len(),
+                Part::IdleGap { cycles, .. } => cycles.div_ceil(self.sample_interval) as usize,
+            })
+            .sum()
     }
 
     /// Whether the log has no windows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The trace block this log's segment runs read from, if any.
-    pub fn shared(&self) -> Option<&Segments> {
-        self.shared.as_ref()
+    /// The block of work windows this log's segment runs read.
+    pub fn block(&self) -> &Segments {
+        &self.block
     }
 
     /// The log's runs in cycle order.
     pub fn runs(&self) -> impl Iterator<Item = LogRun<'_>> + '_ {
-        self.parts.iter().map(move |part| match part {
-            Part::Owned(samples) => LogRun::Owned(samples),
-            Part::Segment { index, start_cycle } => {
-                let shared = self.shared.as_ref().expect("segment runs have a block");
-                LogRun::Segment {
-                    samples: shared.get(*index),
-                    offset: shared.offset(*index),
-                    start_cycle: *start_cycle,
+        let mut cycle = 0u64;
+        self.parts.iter().map(move |part| {
+            let start_cycle = cycle;
+            match part {
+                Part::Segment(index) => {
+                    cycle += self.block.segment_cycles(*index);
+                    LogRun::Segment {
+                        samples: self.block.get(*index),
+                        offset: self.block.offset(*index),
+                        start_cycle,
+                    }
+                }
+                Part::IdleGap { cycles, events } => {
+                    cycle += cycles;
+                    LogRun::IdleGap {
+                        start_cycle,
+                        cycles: *cycles,
+                        interval: self.sample_interval,
+                        events,
+                    }
                 }
             }
-            Part::IdleGap {
-                start_cycle,
-                cycles,
-                events,
-            } => LogRun::IdleGap {
-                start_cycle: *start_cycle,
-                cycles: *cycles,
-                interval: self.sample_interval,
-                events,
-            },
         })
     }
 
@@ -360,12 +323,7 @@ impl SimLog {
         self.parts
             .iter()
             .map(|part| match part {
-                Part::Owned(samples) => samples.iter().map(Sample::cycles).sum(),
-                Part::Segment { index, .. } => self
-                    .shared
-                    .as_ref()
-                    .expect("segment runs have a block")
-                    .segment_cycles(*index),
+                Part::Segment(index) => self.block.segment_cycles(*index),
                 Part::IdleGap { cycles, .. } => *cycles,
             })
             .sum()
@@ -416,12 +374,14 @@ impl SimLog {
         Ok(())
     }
 
-    /// Reads a log previously written by [`SimLog::to_csv`].
+    /// Reads a log previously written by [`SimLog::to_csv`], as one
+    /// segment of a fresh block.
     ///
     /// # Errors
     ///
     /// Returns an error for I/O failures or a malformed file (wrong
-    /// header, wrong column count, unparsable numbers).
+    /// header, wrong column count, unparsable numbers, or an end cycle
+    /// that is not the running total of the rows' cycles).
     pub fn from_csv<R: BufRead>(r: R) -> io::Result<SimLog> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut lines = r.lines();
@@ -450,7 +410,7 @@ impl SimLog {
         let clocking = crate::Clocking::try_scaled(hz, scale)
             .ok_or_else(|| bad("simlog clock rate and time scale must be positive and finite"))?;
         let _columns = lines.next().ok_or_else(|| bad("missing column header"))??;
-        let mut log = SimLog::new(clocking, interval);
+        let mut samples = Vec::new();
         let mut prev_end = None;
         let expected = 1 + Mode::COUNT + Mode::COUNT * UnitEvent::COUNT;
         for line in lines {
@@ -483,14 +443,26 @@ impl SimLog {
             if prev_end.is_some_and(|prev| prev >= end_cycle) {
                 return Err(bad("simlog end cycles must increase"));
             }
+            let total = mode_cycles
+                .iter()
+                .try_fold(prev_end.unwrap_or(0), |sum: u64, &c| sum.checked_add(c));
+            if total != Some(end_cycle) {
+                return Err(bad("simlog end cycle is not the running cycle total"));
+            }
             prev_end = Some(end_cycle);
-            log.push(Sample {
+            samples.push(Sample {
                 end_cycle,
                 mode_cycles,
                 events,
             });
         }
-        Ok(log)
+        let block = Segments::new(vec![samples]);
+        Ok(SimLog::new(
+            clocking,
+            interval,
+            block,
+            vec![Part::Segment(0)],
+        ))
     }
 
     /// Sums event counters over the whole run, per mode.
@@ -507,7 +479,7 @@ impl PartialEq for SimLog {
     fn eq(&self, other: &SimLog) -> bool {
         self.clocking == other.clocking
             && self.sample_interval == other.sample_interval
-            && self.len == other.len
+            && self.len() == other.len()
             && self.windows().eq(other.windows())
     }
 }
@@ -539,11 +511,23 @@ mod tests {
         }
     }
 
+    /// A one-segment log of `samples`.
+    fn log_of(clocking: Clocking, interval: u64, samples: Vec<Sample>) -> SimLog {
+        let block = Segments::new(vec![samples]);
+        SimLog::new(clocking, interval, block, vec![Part::Segment(0)])
+    }
+
+    fn read_csv(csv: &[u8]) -> io::Result<SimLog> {
+        SimLog::from_csv(std::io::BufReader::new(csv))
+    }
+
     #[test]
     fn aggregates_cycles_and_events() {
-        let mut log = SimLog::new(Clocking::default(), 100);
-        log.push(sample(100, 100, 40));
-        log.push(sample(200, 100, 60));
+        let log = log_of(
+            Clocking::default(),
+            100,
+            vec![sample(100, 100, 40), sample(200, 100, 60)],
+        );
         assert_eq!(log.total_cycles(), 200);
         assert_eq!(log.mode_cycles(Mode::User), 200);
         assert_eq!(log.mode_cycles(Mode::Idle), 0);
@@ -558,13 +542,14 @@ mod tests {
 
     #[test]
     fn csv_round_trip_preserves_the_log() {
-        let mut log = SimLog::new(Clocking::scaled(200.0e6, 2000.0), 100);
-        log.push(sample(100, 100, 40));
-        log.push(sample(200, 100, 60));
+        let log = log_of(
+            Clocking::scaled(200.0e6, 2000.0),
+            100,
+            vec![sample(100, 100, 40), sample(200, 100, 60)],
+        );
         let mut buf = Vec::new();
         log.to_csv(&mut buf).unwrap();
-        let back = SimLog::from_csv(std::io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(back, log);
+        assert_eq!(read_csv(&buf).unwrap(), log);
     }
 
     #[test]
@@ -572,19 +557,43 @@ mod tests {
         let garbage = b"not a log
 1,2,3
 ";
-        assert!(SimLog::from_csv(std::io::BufReader::new(&garbage[..])).is_err());
+        assert!(read_csv(&garbage[..]).is_err());
+    }
+
+    /// Window end cycles are derived from the cycle counts, so a row whose
+    /// end cycle is not the running total of the rows' cycles cannot be
+    /// read, even when the end cycles still increase.
+    #[test]
+    fn csv_rejects_an_end_cycle_off_the_running_total() {
+        let log = log_of(
+            Clocking::scaled(200.0e6, 2000.0),
+            100,
+            vec![sample(100, 100, 40), sample(200, 100, 60)],
+        );
+        let mut buf = Vec::new();
+        log.to_csv(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let edited = text.replace("\n200,", "\n250,");
+        assert_ne!(edited, text);
+        let err = read_csv(edited.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("running cycle total"), "{err}");
     }
 
     #[test]
     fn empty_log_is_zero() {
-        let log = SimLog::new(Clocking::default(), 10);
+        let log = log_of(Clocking::default(), 10, Vec::new());
         assert_eq!(log.total_cycles(), 0);
+        assert!(log.is_empty());
         assert!(log.windows().next().is_none());
     }
 
     fn csv_with_header(header: &str) -> Vec<u8> {
-        let mut log = SimLog::new(Clocking::scaled(200.0e6, 2000.0), 100);
-        log.push(sample(100, 100, 40));
+        let log = log_of(
+            Clocking::scaled(200.0e6, 2000.0),
+            100,
+            vec![sample(100, 100, 40)],
+        );
         let mut buf = Vec::new();
         log.to_csv(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -595,7 +604,7 @@ mod tests {
     #[test]
     fn csv_rejects_a_zero_clock_rate() {
         let csv = csv_with_header("# softwatt simlog v1 hz=0 scale=2000 interval=100");
-        let err = SimLog::from_csv(std::io::BufReader::new(&csv[..])).unwrap_err();
+        let err = read_csv(&csv).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -605,7 +614,7 @@ mod tests {
             let csv = csv_with_header(&format!(
                 "# softwatt simlog v1 hz=200000000 scale={scale} interval=100"
             ));
-            let err = SimLog::from_csv(std::io::BufReader::new(&csv[..])).unwrap_err();
+            let err = read_csv(&csv).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "scale={scale}");
         }
     }

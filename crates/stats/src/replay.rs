@@ -2,9 +2,10 @@
 //!
 //! The collector-driven replay path ([`crate::StatsCollector::replay_sample`]
 //! plus [`crate::StatsCollector::skip_idle_gap`]) re-executes every recorded
-//! event delta and re-ticks every cycle through the full collector machinery.
-//! That is pleasingly literal but costs O(samples × modes × events) for the
-//! work segments and allocates a fresh `ModeCounters` per emitted window.
+//! event delta and re-ticks every work cycle through the full collector
+//! machinery. That is pleasingly literal but costs O(samples × modes ×
+//! events) for the work segments and allocates a fresh `ModeCounters` per
+//! emitted window.
 //!
 //! This module exploits the capture invariants to build the *identical* log
 //! directly, without touching a sample:
@@ -15,26 +16,26 @@
 //!   segment except possibly the last therefore spans exactly one full
 //!   sampling interval, and replaying a sample through a collector sitting
 //!   at offset zero reproduces it verbatim (same events, same mode cycles,
-//!   shifted `end_cycle`). The replayed log therefore refers to each
-//!   segment of the trace's shared block at its new start cycle
-//!   ([`crate::SimLog`]'s segment runs) instead of copying it.
-//! - [`crate::StatsCollector::skip_idle_gap`] records all synthesized idle
-//!   events *before* ticking, so they land in the gap's first window; the
-//!   remaining windows are pure idle cycles with zero events. A gap is
-//!   therefore one analytic run: its first window's events and its length.
-//!   The residual carry depends only on the `(gap, rates)` sequence, which
-//!   we reproduce exactly, in order.
+//!   shifted `end_cycle`). The replayed log therefore reads each segment of
+//!   the trace's block in place, as the collector's own log does.
+//! - A gap is one analytic idle-gap run, the same run
+//!   [`crate::StatsCollector::skip_idle_gap`] records: its length and its
+//!   first window's events, synthesized by the same residual-carry routine
+//!   from the same `(gap, rates)` sequence.
 //! - The idle pseudo-service aggregate is a fold over the gaps in gap order
-//!   ([`crate::ServiceProfiler::exit`]); we perform the same fold on a local
-//!   aggregate and merge it in once. Floating-point addition order is
-//!   identical, so the sums are bit-identical.
+//!   (`ServiceAggregate::add_invocation`, which
+//!   [`crate::ServiceProfiler::exit`] also calls); we perform the same fold
+//!   on a local aggregate and merge it in once. Floating-point addition
+//!   order is identical, so the sums are bit-identical.
 //!
 //! The result is window-for-window equal to the collector-driven path — the
 //! equivalence is pinned by a proptest in `crates/stats/tests/`.
 
+use crate::collector::idle_gap_events;
+use crate::log::Part;
 use crate::{
-    CounterSet, EnergyWeights, Mode, ModeCounters, PerfTrace, ServiceAggregate, ServiceId,
-    ServiceProfiler, SimLog, UnitEvent,
+    EnergyWeights, Mode, ModeCounters, PerfTrace, ServiceAggregate, ServiceId, ServiceProfiler,
+    SimLog, UnitEvent,
 };
 
 impl PerfTrace {
@@ -57,7 +58,8 @@ impl PerfTrace {
     /// # Panics
     ///
     /// Panics on a trace that [`PerfTrace::validate`] rejects for a zero
-    /// sampling interval or an overflowing cycle total.
+    /// sampling interval. The log of a trace it rejects for an overflowing
+    /// cycle total panics when read.
     pub fn fast_replay(
         &self,
         gaps: &[u64],
@@ -84,45 +86,25 @@ impl PerfTrace {
                 );
             }
         }
-        let mut log = SimLog::new(self.clocking, interval);
-        let mut cycle = 0u64;
+        let mut parts = Vec::with_capacity(2 * self.segments.len());
         let mut idle_residual = [0.0f64; UnitEvent::COUNT];
         let mut idle_agg = ServiceAggregate::empty();
-
         for i in 0..self.segments.len() {
-            log.push_segment(&self.segments, i, cycle);
-            cycle += self.segments.segment_cycles(i);
+            parts.push(Part::Segment(i));
             let Some(&gap) = gaps.get(i) else { continue };
             if gap == 0 {
                 continue;
             }
-
-            // Synthesize the gap's idle-loop events with the same residual
-            // carry `skip_idle_gap` performs, in `idle_rates` order.
-            let mut events = CounterSet::new();
-            for &(event, rate) in &self.idle_rates {
-                let exact = rate * gap as f64 + idle_residual[event.index()];
-                let whole = exact as u64;
-                idle_residual[event.index()] = (exact - whole as f64).clamp(0.0, 1.0);
-                events.add(event, whole);
-            }
-
-            // Fold this gap into the idle aggregate exactly as
-            // `ServiceProfiler::exit` would (same addition order).
-            let energy_j = weights.energy_j(gap, &events);
-            idle_agg.invocations += 1;
-            idle_agg.cycles += gap;
-            idle_agg.events.merge(&events);
-            idle_agg.energy_sum_j += energy_j;
-            idle_agg.energy_sumsq_j2 += energy_j * energy_j;
-
-            // The gap's windows: all events land in the first (they are
-            // recorded before any tick); the rest are pure idle time.
+            let events = idle_gap_events(&self.idle_rates, gap, &mut idle_residual);
+            idle_agg.add_invocation(gap, &events, &weights);
             let mut first = ModeCounters::new();
             *first.mode_mut(Mode::Idle) = events;
-            log.push_idle_gap(cycle, gap, first);
-            cycle += gap;
+            parts.push(Part::IdleGap {
+                cycles: gap,
+                events: Box::new(first),
+            });
         }
+        let log = SimLog::new(self.clocking, interval, self.segments.clone(), parts);
 
         let mut profiler = ServiceProfiler::new(weights);
         if idle_agg.invocations > 0 {
@@ -142,10 +124,7 @@ mod tests {
         let mut per_event_j = [0.0; UnitEvent::COUNT];
         per_event_j[UnitEvent::AluOp.index()] = 0.5e-9;
         per_event_j[UnitEvent::IcacheAccess.index()] = 1.25e-9;
-        EnergyWeights {
-            per_event_j,
-            per_cycle_j: 0.0,
-        }
+        EnergyWeights { per_event_j }
     }
 
     /// Builds a small capture-shaped trace: two segments split by one

@@ -1,11 +1,12 @@
-//! The work windows of a captured trace, stored once and shared.
+//! The work windows of a log, stored once and shared.
 //!
-//! A [`crate::PerfTrace`] keeps its work samples in one immutable block
-//! behind an [`Arc`]. Every log replayed from the trace refers to the
-//! block's segments in place instead of copying them ([`crate::SimLog`]'s
-//! segment runs), so a replay costs O(segments + gaps) however many samples
-//! the trace holds. The segment offsets and cycle totals are computed
-//! once, when the block is built, which keeps
+//! Every [`crate::SimLog`] keeps its work samples in one immutable block
+//! behind an [`Arc`], split into segments at its idle gaps. A capture run's
+//! log hands its block to the [`crate::PerfTrace`] it captures, and every
+//! log replayed from the trace refers to the block's segments in place
+//! instead of copying them, so a replay costs O(segments + gaps) however
+//! many samples the trace holds. The segment offsets and cycle totals are
+//! computed once, when the block is built, which keeps
 //! [`crate::PerfTrace::validate`] O(requests).
 //!
 //! Each segment keeps its own sample vector rather than one flat vector
@@ -15,8 +16,8 @@
 //!
 //! The block also carries one write-once memo slot for a post-processor
 //! (the power crate keeps each work window's energies there), so results
-//! derived from the windows are computed once per trace rather than once
-//! per replayed log.
+//! derived from the windows are computed once per block rather than once
+//! per log that reads it.
 
 use std::any::Any;
 use std::fmt;
@@ -158,16 +159,11 @@ impl Segments {
     pub fn memo(&self) -> &MemoSlot {
         &self.0.memo
     }
-
-    /// Whether `self` and `other` are the same shared block.
-    pub(crate) fn ptr_eq(&self, other: &Segments) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 impl PartialEq for Segments {
     fn eq(&self, other: &Segments) -> bool {
-        self.ptr_eq(other) || self.0.segments == other.0.segments
+        Arc::ptr_eq(&self.0, &other.0) || self.0.segments == other.0.segments
     }
 }
 

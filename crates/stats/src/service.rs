@@ -10,10 +10,10 @@
 //! Per-invocation energies are needed for the paper's coefficient-of-
 //! deviation analysis, but the log post-processing happens after the run.
 //! The profiler therefore accepts an optional [`EnergyWeights`] table
-//! (per-event Joules plus a per-cycle base charge, produced by the power
-//! model ahead of time) and maintains running mean/variance of the weighted
-//! per-invocation energy. This is the same "online exception" the paper
-//! makes for the disk, applied to invocation granularity.
+//! (per-event Joules, produced by the power model ahead of time) and
+//! maintains running mean/variance of the weighted per-invocation energy.
+//! This is the same "online exception" the paper makes for the disk,
+//! applied to invocation granularity.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,18 +33,14 @@ impl fmt::Display for ServiceId {
     }
 }
 
-/// Per-event energies (Joules) plus a per-cycle base charge used to compute
-/// a per-invocation energy online.
-///
-/// The per-cycle charge models always-on per-cycle costs (clock tree base
-/// load); per-event weights cover unit accesses including their share of the
-/// conditionally-gated clock load.
+/// Per-event energies (Joules) used to compute a per-invocation energy
+/// online. The weights cover unit accesses including their share of the
+/// conditionally-gated clock load; there is no per-cycle charge (see the
+/// power model's `energy_weights` for why).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyWeights {
     /// Energy per event occurrence, indexed by [`UnitEvent::index`].
     pub per_event_j: [f64; UnitEvent::COUNT],
-    /// Energy charged per cycle regardless of activity.
-    pub per_cycle_j: f64,
 }
 
 impl EnergyWeights {
@@ -52,13 +48,12 @@ impl EnergyWeights {
     pub fn zero() -> EnergyWeights {
         EnergyWeights {
             per_event_j: [0.0; UnitEvent::COUNT],
-            per_cycle_j: 0.0,
         }
     }
 
-    /// Energy of `cycles` cycles plus the given event deltas.
-    pub fn energy_j(&self, cycles: u64, events: &CounterSet) -> f64 {
-        events.dot(&self.per_event_j) + cycles as f64 * self.per_cycle_j
+    /// Energy of the given event deltas.
+    pub fn energy_j(&self, events: &CounterSet) -> f64 {
+        events.dot(&self.per_event_j)
     }
 }
 
@@ -78,7 +73,8 @@ pub struct ServiceAggregate {
 }
 
 impl ServiceAggregate {
-    fn new() -> ServiceAggregate {
+    /// An empty aggregate (identity for [`ServiceAggregate::merge`]).
+    pub fn empty() -> ServiceAggregate {
         ServiceAggregate {
             invocations: 0,
             cycles: 0,
@@ -86,6 +82,25 @@ impl ServiceAggregate {
             energy_sum_j: 0.0,
             energy_sumsq_j2: 0.0,
         }
+    }
+
+    /// Folds one completed invocation of `cycles` cycles and `events` into
+    /// the aggregate, returning its energy under `weights`. The profiler's
+    /// [`ServiceProfiler::exit`] and trace replay's idle-gap fold both
+    /// call this, so their sums are added in the same order.
+    pub(crate) fn add_invocation(
+        &mut self,
+        cycles: u64,
+        events: &CounterSet,
+        weights: &EnergyWeights,
+    ) -> f64 {
+        let energy_j = weights.energy_j(events);
+        self.invocations += 1;
+        self.cycles += cycles;
+        self.events.merge(events);
+        self.energy_sum_j += energy_j;
+        self.energy_sumsq_j2 += energy_j * energy_j;
+        energy_j
     }
 
     /// Folds another aggregate (e.g. the same service observed in a
@@ -97,11 +112,6 @@ impl ServiceAggregate {
         self.events.merge(&other.events);
         self.energy_sum_j += other.energy_sum_j;
         self.energy_sumsq_j2 += other.energy_sumsq_j2;
-    }
-
-    /// An empty aggregate (identity for [`ServiceAggregate::merge`]).
-    pub fn empty() -> ServiceAggregate {
-        ServiceAggregate::new()
     }
 
     /// Mean per-invocation energy in Joules, or `None` with no invocations.
@@ -226,16 +236,11 @@ impl ServiceProfiler {
             parent.snap_events = counters.clone();
         }
 
-        let energy_j = self.weights.energy_j(frame.cycles, &frame.events);
-        let agg = self
+        let energy_j = self
             .aggregates
             .entry(service)
-            .or_insert_with(ServiceAggregate::new);
-        agg.invocations += 1;
-        agg.cycles += frame.cycles;
-        agg.events.merge(&frame.events);
-        agg.energy_sum_j += energy_j;
-        agg.energy_sumsq_j2 += energy_j * energy_j;
+            .or_insert_with(ServiceAggregate::empty)
+            .add_invocation(frame.cycles, &frame.events, &self.weights);
 
         InvocationRecord {
             service,
@@ -257,7 +262,7 @@ impl ServiceProfiler {
     pub fn merge_aggregate(&mut self, service: ServiceId, aggregate: &ServiceAggregate) {
         self.aggregates
             .entry(service)
-            .or_insert_with(ServiceAggregate::new)
+            .or_insert_with(ServiceAggregate::empty)
             .merge(aggregate);
     }
 
@@ -280,7 +285,6 @@ mod tests {
     fn unit_weights() -> EnergyWeights {
         let mut w = EnergyWeights::zero();
         w.per_event_j[UnitEvent::AluOp.index()] = 1.0;
-        w.per_cycle_j = 0.5;
         w
     }
 
@@ -290,8 +294,8 @@ mod tests {
         p.enter(ServiceId(1), 100, &counters_with(10));
         let rec = p.exit(ServiceId(1), 120, &counters_with(25));
         assert_eq!(rec.cycles, 20);
-        // 15 ALU ops * 1 J + 20 cycles * 0.5 J.
-        assert!((rec.energy_j - 25.0).abs() < 1e-12);
+        // 15 ALU ops * 1 J.
+        assert!((rec.energy_j - 15.0).abs() < 1e-12);
         let agg = &p.aggregates()[&ServiceId(1)];
         assert_eq!(agg.invocations, 1);
         assert_eq!(agg.cycles, 20);
@@ -330,9 +334,9 @@ mod tests {
     fn variance_of_differing_invocations_is_positive() {
         let mut p = ServiceProfiler::new(unit_weights());
         p.enter(ServiceId(4), 0, &counters_with(0));
-        p.exit(ServiceId(4), 10, &counters_with(0));
-        p.enter(ServiceId(4), 20, &counters_with(0));
-        p.exit(ServiceId(4), 60, &counters_with(0));
+        p.exit(ServiceId(4), 10, &counters_with(10));
+        p.enter(ServiceId(4), 20, &counters_with(10));
+        p.exit(ServiceId(4), 60, &counters_with(50));
         let agg = &p.aggregates()[&ServiceId(4)];
         assert!(agg.coefficient_of_deviation_pct().unwrap() > 10.0);
     }
@@ -347,7 +351,7 @@ mod tests {
 
     #[test]
     fn empty_aggregate_stats_are_none() {
-        let agg = ServiceAggregate::new();
+        let agg = ServiceAggregate::empty();
         assert!(agg.mean_energy_j().is_none());
         assert!(agg.coefficient_of_deviation_pct().is_none());
     }

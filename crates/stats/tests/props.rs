@@ -211,14 +211,10 @@ proptest! {
         gap_pool in prop::collection::vec(0u64..3_000, 5),
         rate_milli in prop::collection::vec((events(), 0u64..2_000), 0..3),
         alu_nj in 0u64..100,
-        cycle_nj in 0u64..10,
     ) {
         let mut per_event_j = [0.0; UnitEvent::COUNT];
         per_event_j[UnitEvent::AluOp.index()] = alu_nj as f64 * 1.0e-9;
-        let weights = EnergyWeights {
-            per_event_j,
-            per_cycle_j: cycle_nj as f64 * 1.0e-9,
-        };
+        let weights = EnergyWeights { per_event_j };
         let idle_rates: Vec<(UnitEvent, f64)> = rate_milli
             .iter()
             .map(|&(e, m)| (e, m as f64 / 1000.0))

@@ -478,6 +478,19 @@ mod tests {
     }
 
     #[test]
+    fn canned_and_inline_specs_agree() {
+        let clk = Clocking::scaled(200.0e6, 8000.0);
+        for b in Benchmark::ALL {
+            let spec = b.spec();
+            assert_eq!(spec.name, b.name(), "a canned spec carries its name");
+            assert_eq!(
+                b.workload(clk, 3).budget(),
+                Workload::new(spec, clk, 3).budget()
+            );
+        }
+    }
+
+    #[test]
     fn jess_and_db_are_the_short_benchmarks() {
         // Figure 9: "jess and db are unaffected by configuration 3 because
         // of their short running times".

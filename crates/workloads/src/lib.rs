@@ -45,68 +45,3 @@ pub mod workload;
 pub use benchmarks::Benchmark;
 pub use spec::{BenchmarkSpec, IoBurst, PhaseSpec, SyscallRates};
 pub use workload::Workload;
-
-use softwatt_stats::Clocking;
-
-/// Anything that can describe a workload as a [`BenchmarkSpec`] and
-/// instantiate its generator. The six canned paper benchmarks
-/// ([`Benchmark`]) and user-supplied specs ([`BenchmarkSpec`] itself)
-/// sit behind this one interface, so every simulation entry point is
-/// spec-driven.
-pub trait WorkloadSource {
-    /// Workload name, for reports and keys.
-    fn source_name(&self) -> &str;
-
-    /// The full, validated-or-not spec (callers gate on
-    /// [`BenchmarkSpec::validate`]).
-    fn source_spec(&self) -> BenchmarkSpec;
-
-    /// Instantiates the instruction generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`BenchmarkSpec::validate`] or cannot
-    /// size an instruction budget at this clocking.
-    fn source_workload(&self, clocking: Clocking, seed: u64) -> Workload {
-        Workload::new(self.source_spec(), clocking, seed)
-    }
-}
-
-impl WorkloadSource for Benchmark {
-    fn source_name(&self) -> &str {
-        self.name()
-    }
-
-    fn source_spec(&self) -> BenchmarkSpec {
-        self.spec()
-    }
-}
-
-impl WorkloadSource for BenchmarkSpec {
-    fn source_name(&self) -> &str {
-        &self.name
-    }
-
-    fn source_spec(&self) -> BenchmarkSpec {
-        self.clone()
-    }
-}
-
-#[cfg(test)]
-mod source_tests {
-    use super::*;
-
-    #[test]
-    fn canned_and_inline_sources_agree() {
-        let clk = Clocking::scaled(200.0e6, 8000.0);
-        for b in Benchmark::ALL {
-            let spec = b.source_spec();
-            assert_eq!(b.source_name(), spec.source_name());
-            assert_eq!(spec.source_spec(), spec);
-            assert_eq!(
-                b.source_workload(clk, 3).budget(),
-                spec.source_workload(clk, 3).budget()
-            );
-        }
-    }
-}
