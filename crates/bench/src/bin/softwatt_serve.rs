@@ -16,7 +16,7 @@
 //!
 //! `--peers` joins the distributed trace fabric: the listed servers plus
 //! this one form a consistent-hash ring over trace keys, and a local
-//! trace miss fetches the owning peer's `swtrace-v1` bytes before
+//! trace miss fetches the owning peer's `swtrace` bytes before
 //! falling back to simulation (see `DESIGN.md` §14), so a `/v1/batch`
 //! sent to every peer spreads a cold grid by ring ownership. Requires a
 //! fixed port (`--addr HOST:PORT` or `--advertise HOST:PORT`) so every

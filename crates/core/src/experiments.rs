@@ -397,7 +397,7 @@ impl ExperimentSuite {
 
     /// Attaches a [`PeerSource`], adding the peer-fetch tier to trace
     /// lookup: memo → store → **peer fetch** → capture. On a local store
-    /// miss the key's owning peer is asked for its `swtrace-v1` bytes;
+    /// miss the key's owning peer is asked for its `swtrace` bytes;
     /// verified bytes are persisted locally and replayed, anything else
     /// (owner down, truncated stream, checksum or descriptor mismatch)
     /// degrades to the capture tier with a warning. Requires replay — a
@@ -611,7 +611,7 @@ impl ExperimentSuite {
     }
 
     /// The peer-fetch tier: asks the key's owner (through the attached
-    /// [`PeerSource`]) for its `swtrace-v1` bytes, then parses,
+    /// [`PeerSource`]) for its `swtrace` bytes, then parses,
     /// checksum-verifies, and descriptor-matches them before persisting
     /// locally. Every failure mode — no peer source, owner down, a
     /// truncated or corrupt stream, a descriptor mismatch — returns
@@ -662,7 +662,7 @@ impl ExperimentSuite {
         }
     }
 
-    /// The `swtrace-v1` bytes for one (workload, CPU) pair, for serving
+    /// The `swtrace` bytes for one (workload, CPU) pair, for serving
     /// to a fetching peer. Resolves through the *local* tiers only —
     /// memo, store, capture — never a peer fetch of its own, so two nodes
     /// with disagreeing ring views can bounce a key at most one hop. A
@@ -1961,7 +1961,7 @@ mod tests {
             .with_peer_source(Arc::new(StaticPeer { bytes }))
     }
 
-    /// Valid `swtrace-v1` bytes for jess/Mxs under [`quick_config`],
+    /// Valid `swtrace` bytes for jess/Mxs under [`quick_config`],
     /// captured by an isolated donor suite (no store, no peers).
     fn donor_bytes(workload: WorkloadKey, cpu: CpuModel) -> Vec<u8> {
         let donor = ExperimentSuite::new(quick_config()).unwrap();
@@ -1993,7 +1993,7 @@ mod tests {
 
     #[test]
     fn corrupt_peer_bytes_degrade_to_local_sim() {
-        assert_degrades_to_sim("corrupt", Some(b"not a swtrace-v1 stream".to_vec()));
+        assert_degrades_to_sim("corrupt", Some(b"not a swtrace stream".to_vec()));
     }
 
     #[test]

@@ -458,6 +458,7 @@ mod tests {
     fn canned_benchmarks_run_as_their_specs() {
         use crate::experiments::WorkloadKey;
         use crate::store::TraceKey;
+        use softwatt_stats::swtrace::SWTRACE_VERSION;
 
         let sim = Simulator::new(quick_config()).unwrap();
         let named = sim.run_benchmark(Benchmark::Jess);
@@ -483,15 +484,17 @@ mod tests {
         let config = quick_config();
         let canned = TraceKey::derive(&config, Benchmark::Jess, CpuModel::Mxs);
         assert!(
-            canned.descriptor().starts_with("swtrace-v1|jess|"),
+            canned
+                .descriptor()
+                .starts_with(&format!("swtrace-v{SWTRACE_VERSION}|jess|")),
             "{}",
             canned.descriptor()
         );
         let spec_key = TraceKey::derive(&config, WorkloadKey::Spec(0xabcd), CpuModel::Mxs);
         assert!(
-            spec_key
-                .descriptor()
-                .starts_with("swtrace-v1|spec:000000000000abcd|"),
+            spec_key.descriptor().starts_with(&format!(
+                "swtrace-v{SWTRACE_VERSION}|spec:000000000000abcd|"
+            )),
             "{}",
             spec_key.descriptor()
         );

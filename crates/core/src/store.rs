@@ -1,7 +1,7 @@
 //! The persistent trace store: pay for each full simulation once per
 //! machine, not once per process.
 //!
-//! A [`TraceStore`] is a content-addressed cache directory of `swtrace-v1`
+//! A [`TraceStore`] is a content-addressed cache directory of `swtrace`
 //! files (see `softwatt_stats::swtrace`). Entries are keyed by a
 //! [`TraceKey`]: a stable 64-bit hash of the *policy-independent* run
 //! identity — benchmark, CPU model, and every [`SystemConfig`] field that
@@ -91,7 +91,7 @@ impl TraceKey {
     }
 }
 
-/// A source of `swtrace-v1` bytes from cluster peers.
+/// A source of `swtrace` bytes from cluster peers.
 ///
 /// The suite's trace lookup grows a fourth tier through this hook
 /// (memo → store → **peer fetch** → capture) without `softwatt` itself
@@ -101,7 +101,7 @@ impl TraceKey {
 /// return `None` for keys this node owns, keys no peer can serve, or any
 /// transport failure — every `None` degrades to a local simulation.
 pub trait PeerSource: Send + Sync + std::fmt::Debug {
-    /// Raw `swtrace-v1` bytes for `key` from its owning peer, or `None`.
+    /// Raw `swtrace` bytes for `key` from its owning peer, or `None`.
     ///
     /// `workload` and `cpu` are the wire labels (`jess`, `spec:ab12…` /
     /// `mxs`, `mipsy`) the owner needs to capture the trace on demand;
@@ -235,7 +235,7 @@ impl TraceStore {
         self.store_raw(key, &bytes);
     }
 
-    /// Persists already-encoded `swtrace-v1` bytes under `key`,
+    /// Persists already-encoded `swtrace` bytes under `key`,
     /// crash-safely: the bytes land in a temp file in the store directory,
     /// are fsynced, and are renamed over the final name, so concurrent
     /// readers and a crash mid-write can never observe a partial entry.

@@ -81,7 +81,7 @@ struct ReadyEntry {
 ///
 /// # Hot-path data layout
 ///
-/// The instruction window is a flat ring of [`Slot`]s keyed by sequence
+/// The instruction window is a flat ring of `Slot`s keyed by sequence
 /// number: the window is always the contiguous seq range
 /// `[front, next_seq)`, and the slot for seq `s` lives at `s & seq_mask`
 /// (ring capacity is the window size rounded up to a power of two, so live

@@ -14,13 +14,14 @@
 //! | Spin-up  | 4.2       |
 //!
 //! and the paper's simplifying assumptions: spin-up and spin-down take the
-//! same time (5 s), spin-down consumes no power, the ACTIVE→IDLE transition
-//! is free and instantaneous, and SLEEP is reachable only by explicit
-//! command (and never used by the studied configurations).
+//! same time (5 s), spin-down consumes no power, and the ACTIVE→IDLE
+//! transition is free and instantaneous. Every request is charged the flat
+//! average mechanical timings of [`DiskTimings`].
 //!
 //! Four [`DiskPolicy`] configurations reproduce Section 4's study:
 //! conventional (always spinning at ACTIVE power), IDLE-when-not-busy, and
-//! STANDBY spin-down with a 2 s or 4 s threshold.
+//! STANDBY spin-down with a 2 s or 4 s threshold. None of them enters
+//! SLEEP; only the [`DiskPolicy::Sleep`] extension (harness X4) does.
 //!
 //! Unlike every other component, disk **energy is integrated online** during
 //! the simulation (the paper's one exception to post-processing), because
@@ -41,13 +42,11 @@
 //! assert!(disk.energy_j() > 0.0);
 //! ```
 
-pub mod geometry;
 pub mod model;
 pub mod power;
 pub mod replay;
 pub mod timings;
 
-pub use geometry::DriveGeometry;
 pub use model::{Disk, DiskConfig, DiskPolicy, DiskReport};
 pub use power::{DiskMode, DiskPowerTable};
 pub use replay::{replay_requests, ReplayTimeline};

@@ -5,7 +5,7 @@ use std::fmt;
 
 use softwatt_stats::Clocking;
 
-use crate::{DiskMode, DiskPowerTable, DiskTimings, DriveGeometry};
+use crate::{DiskMode, DiskPowerTable, DiskTimings};
 
 /// Power-management policy — the four configurations of the paper's
 /// Section 4 study.
@@ -64,13 +64,8 @@ pub struct DiskConfig {
     pub policy: DiskPolicy,
     /// Per-mode power values (Figure 2 defaults).
     pub power: DiskPowerTable,
-    /// Flat mechanical timings (average seek), used when no geometry is
-    /// configured.
+    /// Flat mechanical timings (average seek).
     pub timings: DiskTimings,
-    /// Optional position-dependent drive geometry (Ruemmler–Wilkes seek
-    /// curve). `None` selects the flat average-seek model the paper-level
-    /// studies use.
-    pub geometry: Option<DriveGeometry>,
 }
 
 impl DiskConfig {
@@ -80,15 +75,6 @@ impl DiskConfig {
             policy,
             power: DiskPowerTable::default(),
             timings: DiskTimings::default(),
-            geometry: None,
-        }
-    }
-
-    /// The same configuration with a position-dependent drive geometry.
-    pub fn with_geometry(policy: DiskPolicy, geometry: DriveGeometry) -> DiskConfig {
-        DiskConfig {
-            geometry: Some(geometry),
-            ..DiskConfig::new(policy)
         }
     }
 }
@@ -141,7 +127,6 @@ pub struct Disk {
     requests: u64,
     spindowns: u64,
     spinups: u64,
-    head_cyl: u32,
 }
 
 impl Disk {
@@ -164,7 +149,6 @@ impl Disk {
             requests: 0,
             spindowns: 0,
             spinups: 0,
-            head_cyl: 0,
         };
         disk.plan_tail(0);
         disk
@@ -246,20 +230,6 @@ impl Disk {
     ///
     /// Panics if `now` is earlier than a previously synced cycle.
     pub fn submit(&mut self, now: u64, bytes: u64) -> u64 {
-        self.submit_at(now, u64::MAX, bytes)
-    }
-
-    /// Like [`Disk::submit`] but with a position: when a
-    /// [`DriveGeometry`] is configured, the seek time follows the
-    /// Ruemmler–Wilkes curve from the current head position to the
-    /// cylinder holding `byte_offset` (pass `u64::MAX` for "unknown",
-    /// which charges the flat average). Without a geometry the offset is
-    /// ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` is earlier than a previously synced cycle.
-    pub fn submit_at(&mut self, now: u64, byte_offset: u64, bytes: u64) -> u64 {
         self.sync_to(now);
         self.requests += 1;
         softwatt_obs::count("disk.requests", 1);
@@ -292,47 +262,14 @@ impl Disk {
             }
         };
 
-        let (seek_secs, service_secs) = match self.config.geometry {
-            Some(geom) if byte_offset != u64::MAX => {
-                let offset = byte_offset % geom.capacity_bytes();
-                let target = geom.cylinder_of(offset);
-                let seek = geom.seek_ms(self.head_cyl, target) / 1000.0;
-                let (service, new_head) = geom.service_secs(self.head_cyl, offset, bytes);
-                self.head_cyl = new_head;
-                (seek, service)
-            }
-            _ => (
-                self.config.timings.seek_secs(),
-                self.config.timings.service_secs(bytes),
-            ),
-        };
-        let seek_end = start + self.secs_to_cycles(seek_secs);
-        let complete = start + self.secs_to_cycles(service_secs);
+        let seek_end = start + self.secs_to_cycles(self.config.timings.seek_secs());
+        let complete = start + self.secs_to_cycles(self.config.timings.service_secs(bytes));
         let complete = complete.max(seek_end + 1);
         self.segments.push_back((seek_end, DiskMode::Seeking));
         self.segments.push_back((complete, DiskMode::Active));
         self.busy_until = complete;
         self.plan_tail(complete);
         complete
-    }
-
-    /// Issues the explicit SLEEP command (unused by the paper's studied
-    /// configurations, provided for completeness). Takes effect only when
-    /// the disk is spun down and not busy.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if the disk is spinning or busy.
-    pub fn sleep(&mut self, now: u64) -> Result<(), &'static str> {
-        self.sync_to(now);
-        if now < self.busy_until || self.mode != DiskMode::Standby {
-            return Err("sleep command requires an idle, spun-down disk");
-        }
-        self.segments.clear();
-        self.mode = DiskMode::Sleep;
-        // Terminal-mode override: park a marker segment far in the future.
-        self.segments.push_back((u64::MAX, DiskMode::Sleep));
-        Ok(())
     }
 
     fn push_spinup(&mut self, at: u64) -> u64 {
@@ -554,24 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_command_from_standby() {
-        let c = clk();
-        let mut disk = Disk::new(DiskConfig::new(DiskPolicy::Standby { threshold_s: 1.0 }), c);
-        // After 1 + 5 s the disk is in standby; sleep at 7 s.
-        disk.sleep(cycles(&c, 7.0)).unwrap();
-        let report = disk.report(cycles(&c, 17.0));
-        // 10 s at 0.15 W in sleep.
-        assert!(report.mode_secs[DiskMode::Sleep.index()] > 9.9);
-    }
-
-    #[test]
-    fn sleep_rejected_while_spinning() {
-        let c = clk();
-        let mut disk = Disk::new(DiskConfig::new(DiskPolicy::IdleWhenNotBusy), c);
-        assert!(disk.sleep(cycles(&c, 1.0)).is_err());
-    }
-
-    #[test]
     fn longer_threshold_keeps_idle_power_longer() {
         let c = clk();
         let horizon = cycles(&c, 20.0);
@@ -592,46 +511,6 @@ mod tests {
         let mut disk = Disk::new(DiskConfig::new(DiskPolicy::Conventional), c);
         disk.sync_to(100);
         disk.sync_to(50);
-    }
-
-    #[test]
-    fn positional_requests_pay_distance_dependent_seeks() {
-        let c = clk();
-        let geom = crate::DriveGeometry::mk3003man();
-        let mut disk = Disk::new(
-            DiskConfig::with_geometry(DiskPolicy::IdleWhenNotBusy, geom),
-            c,
-        );
-        // First request parks the head near the front of the disk.
-        let t0 = disk.submit_at(0, 0, 4096);
-        // Sequential neighbour: cheap (no seek).
-        let near_start = t0 + 1000;
-        let near_done = disk.submit_at(near_start, 8192, 4096);
-        let near = near_done - near_start;
-        // Far end of the disk: full-stroke seek.
-        let far_start = near_done + 1000;
-        let far_done = disk.submit_at(far_start, geom.capacity_bytes() - 8192, 4096);
-        let far = far_done - far_start;
-        assert!(
-            far > near + c.paper_secs_to_cycles(0.003),
-            "full-stroke seek must cost milliseconds more: near {near}, far {far}"
-        );
-    }
-
-    #[test]
-    fn unknown_position_falls_back_to_flat_average() {
-        let c = clk();
-        let geom = crate::DriveGeometry::mk3003man();
-        let mut with_geom = Disk::new(
-            DiskConfig::with_geometry(DiskPolicy::IdleWhenNotBusy, geom),
-            c,
-        );
-        let mut flat = Disk::new(DiskConfig::new(DiskPolicy::IdleWhenNotBusy), c);
-        assert_eq!(
-            with_geom.submit(0, 4096),
-            flat.submit(0, 4096),
-            "submit() without a position uses the flat timing model"
-        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn replay_requests(
     let mut cumulative_gap = 0u64;
     for r in requests {
         let submit = r.work_submit + cumulative_gap;
-        let done = disk.submit_at(submit, r.disk_offset, r.bytes);
+        let done = disk.submit(submit, r.bytes);
         let gap = done.max(submit + 1) - (submit + 1);
         gaps.push(gap);
         cumulative_gap += gap;
@@ -71,11 +71,10 @@ mod tests {
 
     fn requests() -> Vec<TraceRequest> {
         // Three reads spread over ~6 paper-seconds of work.
-        [(200_000u64, 0u64), (600_000, 1 << 20), (1_200_000, 4 << 20)]
+        [200_000u64, 600_000, 1_200_000]
             .iter()
-            .map(|&(work_submit, disk_offset)| TraceRequest {
+            .map(|&work_submit| TraceRequest {
                 work_submit,
-                disk_offset,
                 bytes: 16 * 1024,
             })
             .collect()
@@ -88,7 +87,7 @@ mod tests {
         let mut cum = 0u64;
         for r in reqs {
             let submit = r.work_submit + cum;
-            let done = disk.submit_at(submit, r.disk_offset, r.bytes);
+            let done = disk.submit(submit, r.bytes);
             let gap = done.max(submit + 1) - (submit + 1);
             gaps.push(gap);
             cum += gap;

@@ -2,11 +2,11 @@
 //!
 //! Clusters of `softwatt-serve` processes share one logical trace cache,
 //! with no shared filesystem and no external services — `std::net` and
-//! the `swtrace-v1` codec are the whole stack.
+//! the `swtrace` codec are the whole stack.
 //!
 //! Every node derives the same consistent-hash [`ring::Ring`] from the
 //! membership list, so a trace key has one *owner* the whole cluster
-//! agrees on. A local store miss fetches the owner's `swtrace-v1` bytes
+//! agrees on. A local store miss fetches the owner's `swtrace` bytes
 //! over its ordinary HTTP port ([`peer`]) before falling back to
 //! simulation; the owner captures on miss, so N simultaneous
 //! cluster-wide misses cost one simulation. Every byte is checksum- and

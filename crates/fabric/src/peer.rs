@@ -5,7 +5,7 @@
 //! via [`softwatt::ExperimentSuite::with_peer_source`]. On a local
 //! trace-store miss the suite asks here before simulating; this module
 //! computes the key's ring owner and, when that is someone else, streams
-//! the owner's `swtrace-v1` bytes over the owner's ordinary HTTP port
+//! the owner's `swtrace` bytes over the owner's ordinary HTTP port
 //! (`GET /v1/traces/{hash}`). The suite verifies the checksum and
 //! descriptor before trusting a byte of it, so a confused or corrupt
 //! peer degrades to a local simulation, never an error.

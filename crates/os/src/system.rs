@@ -289,15 +289,10 @@ impl SystemOs {
                 bytes,
             } => {
                 let now = stats.cycle();
-                // Files live at fixed 4 MiB-aligned extents on the platter,
-                // so a position-aware drive model sees realistic seek
-                // distances; the flat model ignores the position.
-                let disk_offset = u64::from(file.0) * 4 * 1024 * 1024 + offset;
-                let done = self.disk.submit_at(now, disk_offset, u64::from(bytes));
+                let done = self.disk.submit(now, u64::from(bytes));
                 if let Some(log) = self.request_log.as_mut() {
                     log.push(TraceRequest {
                         work_submit: stats.work_cycle(),
-                        disk_offset,
                         bytes: u64::from(bytes),
                     });
                 }

@@ -44,7 +44,6 @@
 pub mod array;
 pub mod cache;
 pub mod clock;
-pub mod datapath;
 pub mod group;
 pub mod model;
 pub mod post;
@@ -52,7 +51,6 @@ pub mod tech;
 pub mod units;
 
 pub use clock::ClockModel;
-pub use datapath::{DatapathBreakdown, DatapathComponent};
 pub use group::{GroupPower, UnitGroup};
 pub use model::{ClockGating, PowerModel, PowerParams};
 pub use post::{ModePowerTable, PowerProfile, ProfilePoint};

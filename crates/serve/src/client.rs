@@ -31,7 +31,7 @@ impl ClientResponse {
 }
 
 /// A response whose body stays raw bytes — the trace-transfer endpoint
-/// returns `swtrace-v1` binary, which is not UTF-8.
+/// returns `swtrace` binary, which is not UTF-8.
 #[derive(Debug)]
 pub struct RawResponse {
     /// HTTP status code.

@@ -84,7 +84,7 @@ pub enum Route {
     Batch,
     /// `GET /v1/figures/{name}`
     Figure,
-    /// `GET /v1/traces/{hash}` — raw `swtrace-v1` bytes for the fabric's
+    /// `GET /v1/traces/{hash}` — raw `swtrace` bytes for the fabric's
     /// peer-to-peer trace transfer.
     Traces,
     /// `POST /admin/shutdown`
@@ -348,7 +348,7 @@ pub fn dispatch(ctx: &Ctx, route: Route, req: &Request) -> Outcome {
 }
 
 /// `GET /v1/traces/{hash:016x}?workload={label}&cpu={name}` — the fabric's
-/// peer-to-peer trace transfer. Returns the raw `swtrace-v1` bytes
+/// peer-to-peer trace transfer. Returns the raw `swtrace` bytes
 /// (trailing checksum included; the fetching peer re-verifies before
 /// trusting them). The URL hash must match the key this server derives
 /// for the named (workload, CPU) pair — a mismatch means config drift

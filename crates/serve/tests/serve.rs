@@ -677,7 +677,7 @@ fn trace_transfers_bypass_a_saturated_cold_lane() {
         .request_bytes("GET", &path, "")
         .expect("trace transfer");
     assert_eq!(resp.status, 200);
-    assert!(!resp.body.is_empty(), "swtrace-v1 bytes");
+    assert!(!resp.body.is_empty(), "swtrace bytes");
     assert_eq!(resp.header("x-softwatt-source"), Some("sim"));
     assert!(
         start.elapsed() < Duration::from_secs(60),

@@ -4,7 +4,7 @@
 //! would defeat any content-addressed on-disk cache. FNV-1a 64 is the one
 //! hash this workspace uses for file names and trailing checksums: the
 //! trace store's keys (`softwatt::TraceKey`), spec content hashes, the
-//! peer ring's points, and the `swtrace-v1` codec checksum all go
+//! peer ring's points, and the `swtrace` codec checksum all go
 //! through this function, so the formats agree byte-for-byte across
 //! processes and platforms.
 

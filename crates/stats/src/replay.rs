@@ -156,7 +156,6 @@ mod tests {
             segments: vec![first, second].into(),
             requests: vec![crate::TraceRequest {
                 work_submit: boundary,
-                disk_offset: 0,
                 bytes: 512,
             }],
             idle_rates: vec![(UnitEvent::AluOp, 0.31), (UnitEvent::IcacheAccess, 0.07)],
@@ -224,7 +223,6 @@ mod tests {
             trace.requests[0],
             crate::TraceRequest {
                 work_submit: trace.requests[0].work_submit,
-                disk_offset: 4096,
                 bytes: 512,
             },
         ];

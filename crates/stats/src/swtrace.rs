@@ -1,11 +1,11 @@
-//! `swtrace-v1` — the compact binary on-disk format for [`PerfTrace`].
+//! `swtrace` — the compact binary on-disk format for [`PerfTrace`].
 //!
 //! The one serialized form of a trace: the persistent trace store writes
 //! it and cluster peers send it. Layout:
 //!
 //! ```text
 //! magic      8 bytes  b"SWTRACE\0"
-//! version    varint   1
+//! version    varint   2
 //! sections   repeated [tag u8][varint len][payload], in fixed order:
 //!   0x01 HEADER      hz/scale as f64 bit patterns (8 B LE each), then
 //!                    varints: sample_interval, work_cycles, committed,
@@ -14,7 +14,7 @@
 //!                    cache-key descriptor here), possibly empty
 //!   0x03 REQUESTS    varint count; per request: varint delta of
 //!                    work_submit from the previous request (submissions
-//!                    are monotone), varint disk_offset, varint bytes
+//!                    are monotone), varint bytes
 //!   0x04 IDLERATES   varint count; per entry: varint event index, rate
 //!                    as an f64 bit pattern (8 B LE)
 //!   0x05 SERVICES    varint count; per service: varint id, invocations,
@@ -53,7 +53,7 @@ pub const SWTRACE_MAGIC: [u8; 8] = *b"SWTRACE\0";
 
 /// Current format version. Bump on any layout change; readers reject other
 /// versions, which cache layers treat as a stale entry.
-pub const SWTRACE_VERSION: u64 = 1;
+pub const SWTRACE_VERSION: u64 = 2;
 
 const SEC_HEADER: u8 = 0x01;
 const SEC_ANNOTATION: u8 = 0x02;
@@ -67,7 +67,7 @@ const SEC_END: u8 = 0x00;
 // at least one byte, every float eight). Reservations are capped by what
 // the remaining bytes could encode, so a count claimed by a short (even
 // checksum-valid) input never turns into a large allocation.
-const MIN_REQUEST_BYTES: usize = 3;
+const MIN_REQUEST_BYTES: usize = 2;
 const MIN_IDLE_RATE_BYTES: usize = 1 + 8;
 const MIN_SERVICE_BYTES: usize = 3 + 2 * 8 + UnitEvent::COUNT;
 const MIN_SEGMENT_BYTES: usize = 1;
@@ -148,7 +148,7 @@ fn section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 }
 
 impl PerfTrace {
-    /// Writes the trace in the `swtrace-v1` binary format (see the module
+    /// Writes the trace in the `swtrace` binary format (see the module
     /// docs). `annotation` is an opaque caller payload returned verbatim
     /// by [`PerfTrace::from_binary`]; the trace store keeps its cache-key
     /// descriptor there so hash collisions and config drift are detectable.
@@ -180,7 +180,6 @@ impl PerfTrace {
             // stream is non-negative and small.
             put_varint(&mut payload, r.work_submit.wrapping_sub(prev_submit));
             prev_submit = r.work_submit;
-            put_varint(&mut payload, r.disk_offset);
             put_varint(&mut payload, r.bytes);
         }
         section(&mut out, SEC_REQUESTS, &payload);
@@ -307,7 +306,6 @@ impl PerfTrace {
             prev_submit = work_submit;
             requests.push(TraceRequest {
                 work_submit,
-                disk_offset: sec.varint()?,
                 bytes: sec.varint()?,
             });
         }
@@ -444,7 +442,6 @@ mod tests {
             segments: vec![vec![sample(100, 100, 40)], vec![sample(300, 60, 7)]].into(),
             requests: vec![TraceRequest {
                 work_submit: 100,
-                disk_offset: 4096,
                 bytes: 8192,
             }],
             idle_rates: vec![
@@ -586,12 +583,10 @@ mod tests {
         t.requests = vec![
             TraceRequest {
                 work_submit: 100,
-                disk_offset: 0,
                 bytes: 1,
             },
             TraceRequest {
                 work_submit: 50,
-                disk_offset: 0,
                 bytes: 1,
             },
         ];

@@ -21,7 +21,7 @@
 //!   idle pseudo-service, which the replay rebuilds itself).
 //!
 //! A trace is stored and sent between peers in one format, the
-//! `swtrace-v1` binary codec ([`PerfTrace::to_binary`],
+//! `swtrace` binary codec ([`PerfTrace::to_binary`],
 //! [`PerfTrace::from_binary`]), which round-trips exactly.
 
 use crate::{Clocking, Segments, ServiceAggregate, ServiceId, UnitEvent};
@@ -32,8 +32,6 @@ pub struct TraceRequest {
     /// Work cycles elapsed when the request was submitted (the
     /// policy-independent clock: total cycles minus skipped idle gaps).
     pub work_submit: u64,
-    /// Byte offset on the disk (drives position-dependent seek times).
-    pub disk_offset: u64,
     /// Transfer size in bytes.
     pub bytes: u64,
 }
@@ -153,7 +151,6 @@ mod tests {
             segments: vec![vec![sample(100, 100, 40)], vec![sample(300, 60, 7)]].into(),
             requests: vec![TraceRequest {
                 work_submit: 100,
-                disk_offset: 4096,
                 bytes: 8192,
             }],
             idle_rates: vec![

@@ -1,7 +1,7 @@
 //! LEB128 varints and zigzag signed encoding.
 //!
 //! The integer codec under the workspace's binary trace format,
-//! `swtrace-v1` (`swtrace`): counts, lengths and timestamp deltas.
+//! `swtrace`: counts, lengths and timestamp deltas.
 //!
 //! Encoding is little-endian base-128: seven payload bits per byte, high
 //! bit set on every byte but the last. Signed values zigzag first

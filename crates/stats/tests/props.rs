@@ -252,7 +252,7 @@ proptest! {
         prop_assert!(samples.is_empty());
         let requests: Vec<TraceRequest> = boundaries[..boundaries.len() - 1]
             .iter()
-            .map(|&b| TraceRequest { work_submit: b, disk_offset: 0, bytes: 512 })
+            .map(|&b| TraceRequest { work_submit: b, bytes: 512 })
             .collect();
         let trace = PerfTrace {
             clocking: Clocking::default(),

@@ -1,4 +1,4 @@
-//! Property test: the `swtrace-v1` binary codec is the identity on
+//! Property test: the `swtrace` binary codec is the identity on
 //! arbitrary (structurally valid) [`PerfTrace`]s — the replay-engine
 //! counterpart of the `SimLog` round trip in `crates/stats/tests/props.rs`.
 //! Floats travel as IEEE-754 bit patterns, so equality is exact; the
@@ -41,8 +41,8 @@ fn samples(interval: u64, steps: &[(Mode, UnitEvent, u64)]) -> Vec<Sample> {
 /// body prefix-sums the deltas and clamps them to the trace's work cycles,
 /// because `validate()` (run by the binary reader) demands monotone,
 /// in-range submission offsets.
-fn request_parts() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    prop::collection::vec((0u64..1 << 16, 0u64..1 << 40, 1u64..1 << 20), 0..8)
+fn request_parts() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    prop::collection::vec((0u64..1 << 16, 1u64..1 << 20), 0..8)
 }
 
 fn idle_rates() -> impl Strategy<Value = Vec<(UnitEvent, f64)>> {
@@ -97,9 +97,9 @@ proptest! {
         let mut submit = 0u64;
         let requests: Vec<TraceRequest> = request_parts
             .into_iter()
-            .map(|(delta, disk_offset, bytes)| {
+            .map(|(delta, bytes)| {
                 submit = (submit + delta).min(work_cycles);
-                TraceRequest { work_submit: submit, disk_offset, bytes }
+                TraceRequest { work_submit: submit, bytes }
             })
             .collect();
 
