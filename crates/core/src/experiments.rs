@@ -1135,6 +1135,10 @@ impl ExperimentSuite {
     /// service invocation counts times per-invocation mean energies
     /// (obtained from a *different* run) with roughly 10% error, without
     /// detailed simulation of the services.
+    ///
+    /// The reference runs' captures, store loads and replays count in this
+    /// suite's tallies ([`ExperimentSuite::runs_executed`],
+    /// [`ExperimentSuite::store_loads`], [`ExperimentSuite::replays_derived`]).
     pub fn ext_kernel_energy_estimate(&self) -> Vec<KernelEstimateRow> {
         // Reference means come from a run with a different seed. The nested
         // suite inherits the persistent store so the reference runs are
@@ -1143,7 +1147,7 @@ impl ExperimentSuite {
         reference.seed ^= 0xDEAD_BEEF;
         let mut ref_suite = ExperimentSuite::new(reference).expect("valid config");
         ref_suite.store.clone_from(&self.store);
-        Benchmark::ALL
+        let rows = Benchmark::ALL
             .iter()
             .map(|&b| {
                 let bundle = self.run(b, CpuModel::Mxs, DiskSetup::Conventional);
@@ -1169,7 +1173,14 @@ impl ExperimentSuite {
                     estimated_j: estimated,
                 }
             })
-            .collect()
+            .collect();
+        self.executed
+            .fetch_add(ref_suite.runs_executed(), Ordering::AcqRel);
+        self.store_loads
+            .fetch_add(ref_suite.store_loads(), Ordering::AcqRel);
+        self.replays
+            .fetch_add(ref_suite.replays_derived(), Ordering::AcqRel);
+        rows
     }
 
     /// Whole-run power metrics per benchmark: average and peak power,

@@ -79,13 +79,6 @@ impl Simulator {
         &self.config
     }
 
-    fn make_cpu(&self) -> Box<dyn Cpu> {
-        match self.config.mxs_core() {
-            Some(core) => Box::new(MxsCpu::new(core)),
-            None => Box::new(MipsyCpu::new(self.config.mipsy)),
-        }
-    }
-
     /// Runs one of the named benchmarks: [`Simulator::run`] on its spec,
     /// tagged with the benchmark.
     pub fn run_benchmark(&self, benchmark: Benchmark) -> RunResult {
@@ -160,6 +153,22 @@ impl Simulator {
         user: Option<Box<dyn InstrSource>>,
         capture: bool,
     ) -> (RunResult, Option<PerfTrace>) {
+        // Each CPU model gets its own statically dispatched copy of the
+        // driver, so the cycle loop makes no virtual call per cycle.
+        match self.config.mxs_core() {
+            Some(core) => self.drive_on(|| MxsCpu::new(core), spec, user, capture),
+            None => self.drive_on(|| MipsyCpu::new(self.config.mipsy), spec, user, capture),
+        }
+    }
+
+    /// [`Simulator::drive`] on the CPU model `make_cpu` builds.
+    fn drive_on<C: Cpu>(
+        &self,
+        make_cpu: impl Fn() -> C,
+        spec: &BenchmarkSpec,
+        user: Option<Box<dyn InstrSource>>,
+        capture: bool,
+    ) -> (RunResult, Option<PerfTrace>) {
         softwatt_obs::count(
             if capture {
                 "sim.capture_runs"
@@ -198,12 +207,12 @@ impl Simulator {
             os.premap_region(base, bytes);
         }
         let mut mem = MemHierarchy::new(self.config.mem);
-        let mut cpu = self.make_cpu();
+        let mut cpu = make_cpu();
 
         // Trace capture needs every blocked stretch handled analytically —
         // that is what makes the captured work stream policy-independent.
         let analytic = capture || self.config.idle == IdleHandling::Analytic;
-        let idle_rates = analytic.then(|| self.measure_idle_rates());
+        let idle_rates = analytic.then(|| self.measure_idle_rates(make_cpu()));
         os.set_analytic_idle(analytic);
         if capture {
             os.start_request_capture();
@@ -230,6 +239,15 @@ impl Simulator {
                 let gap = until.saturating_sub(stats.cycle());
                 stats.skip_idle_gap(gap, &rates.per_cycle, KernelService::IdleProcess.id());
                 os.complete_block(gap);
+            } else if out.event.is_none() {
+                // The same acceleration in the small: cycles in which the
+                // CPU provably does nothing (waiting on a miss, a divide or
+                // a branch refill) are counted, not stepped. The OS acts
+                // only on events and fetches, so it sees none of them.
+                let inert = cpu.skip_inert_cycles();
+                if inert > 0 {
+                    stats.tick_n(inert);
+                }
             }
             assert!(stats.cycle() < cycle_cap, "runaway simulation");
         }
@@ -346,9 +364,8 @@ impl Simulator {
 
     /// Measures the idle loop's per-cycle event rates with a short
     /// standalone simulation (warm caches, steady state).
-    fn measure_idle_rates(&self) -> IdleRates {
+    fn measure_idle_rates(&self, mut cpu: impl Cpu) -> IdleRates {
         let _span = softwatt_obs::span("sim.idle_rate_measure_ns");
-        let mut cpu = self.make_cpu();
         let mut mem = MemHierarchy::new(self.config.mem);
         let mut stats = StatsCollector::new(self.config.clocking(), 1_000_000);
         let mut idle = IdleSource(IdleLoop::new());

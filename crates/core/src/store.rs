@@ -400,6 +400,39 @@ mod tests {
         }
     }
 
+    /// The descriptor is the `Debug` text of the canonical config, so any
+    /// drift in a config struct's fields or derived `Debug` (a cache
+    /// geometry growing a precomputed field, say) changes every key and
+    /// silently empties every store. Nothing else fails when that happens,
+    /// so the text and its hash are pinned here; a deliberate change
+    /// updates both.
+    #[test]
+    fn trace_key_descriptor_is_pinned() {
+        let config = SystemConfig {
+            time_scale: 2000.0,
+            ..SystemConfig::default()
+        };
+        let key = TraceKey::derive(&config, Benchmark::Jess, CpuModel::Mxs);
+        let descriptor = concat!(
+            "swtrace-v2|jess|SystemConfig { cpu: Mxs, mem: MemConfig { il1: CacheGeometry { size_bytes: 32768, line_bytes: 64, assoc: 2 }, ",
+            "dl1: CacheGeometry { size_bytes: 32768, line_bytes: 64, assoc: 2 }, ",
+            "l2: CacheGeometry { size_bytes: 1048576, line_bytes: 128, assoc: 2 }, tlb_entries: 64, ",
+            "l1_hit_cycles: 2, l2_hit_cycles: 12, dram_cycles: 60, memory_mb: 128 }, ",
+            "mxs: MxsConfig { fetch_width: 4, decode_width: 4, issue_width: 4, commit_width: 4, ",
+            "window_size: 64, lsq_size: 32, int_units: 2, fp_units: 2, mem_ports: 1, bht_entries: 1024, ",
+            "btb_entries: 1024, ras_entries: 32, mispredict_penalty: 4, fetch_buffer: 8 }, ",
+            "mipsy: MipsyConfig { taken_branch_penalty: 1 }, disk: DiskConfig { policy: Conventional, ",
+            "power: DiskPowerTable { sleep_w: 0.15, standby_w: 0.35, idle_w: 1.6, active_w: 3.2, ",
+            "seeking_w: 4.1, spinup_w: 4.2 }, timings: DiskTimings { spin_up_s: 5.0, spin_down_s: 5.0, ",
+            "avg_seek_ms: 13.0, avg_rotation_ms: 3.6, transfer_mb_s: 5.0 } }, ",
+            "os: OsConfig { file_cache_blocks: 2048, timer_interval_s: 2.0, tlb_slow_path_prob: 0.004, ",
+            "vfault_frac: 0.3, cacheflush_per_kinstr: 0.0, seed: 42 }, freq_hz: 200000000.0, ",
+            "time_scale: 2000.0, sample_interval_cycles: 2000, seed: 45223, idle: Analytic }"
+        );
+        assert_eq!(key.descriptor(), descriptor);
+        assert_eq!(format!("{:016x}", key.hash()), "554a4147b1afddcf");
+    }
+
     #[test]
     fn spec_keys_are_disjoint_from_canned_keys() {
         let config = quick_config();

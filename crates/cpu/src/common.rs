@@ -32,40 +32,52 @@ pub trait Cpu {
         stats: &mut StatsCollector,
     ) -> CycleOutcome;
 
+    /// Skips the upcoming cycles in which this CPU provably does nothing:
+    /// no stage can act, record an event or ask `frontend` for an
+    /// instruction before a cycle the model already knows. Advances the
+    /// CPU's clock past them and returns how many; the caller ticks its
+    /// [`StatsCollector`] by the same count with
+    /// [`StatsCollector::tick_n`], which equals that many single ticks. A
+    /// model that cannot tell returns 0, the default.
+    fn skip_inert_cycles(&mut self) -> u64 {
+        0
+    }
+
     /// Instructions committed since construction.
     fn committed_instructions(&self) -> u64;
 }
 
 /// Records the register-file and functional-unit events common to both CPU
 /// models for one executing instruction.
+///
+/// Events that depend on the instruction's shape are recorded as counts of
+/// 0 or 1 rather than under a branch: the instruction mix is random, so
+/// such branches mispredict on the host, while adding 0 to a counter
+/// changes nothing.
 pub(crate) fn record_execute_events(instr: &Instr, stats: &mut StatsCollector) {
-    let mut reads = 0;
-    if instr.src1.is_some() {
-        reads += 1;
-    }
-    if instr.src2.is_some() {
-        reads += 1;
-    }
-    if reads > 0 {
-        stats.record_n(UnitEvent::RegRead, reads);
-    }
-    if instr.dest.is_some() {
-        stats.record(UnitEvent::RegWrite);
-        stats.record(UnitEvent::ResultBus);
-    }
-    match instr.op {
-        OpClass::IntAlu | OpClass::BranchCond | OpClass::Jump | OpClass::Call | OpClass::Return => {
-            stats.record(UnitEvent::AluOp)
-        }
-        OpClass::IntMul | OpClass::IntDiv => stats.record(UnitEvent::MulOp),
-        OpClass::FpAdd => stats.record(UnitEvent::FpAluOp),
-        OpClass::FpMul | OpClass::FpDiv => stats.record(UnitEvent::FpMulOp),
-        OpClass::Sync => {
-            stats.record(UnitEvent::AluOp);
-            stats.record(UnitEvent::SyncOp);
-        }
-        OpClass::Eret => stats.record(UnitEvent::AluOp),
-        OpClass::Load | OpClass::Store | OpClass::Syscall | OpClass::Nop => {}
+    let reads = u64::from(instr.src1.is_some()) + u64::from(instr.src2.is_some());
+    stats.record_n(UnitEvent::RegRead, reads);
+    let writes = u64::from(instr.dest.is_some());
+    stats.record_n(UnitEvent::RegWrite, writes);
+    stats.record_n(UnitEvent::ResultBus, writes);
+    let (unit, uses) = match instr.op {
+        OpClass::IntAlu
+        | OpClass::BranchCond
+        | OpClass::Jump
+        | OpClass::Call
+        | OpClass::Return
+        | OpClass::Sync
+        | OpClass::Eret => (UnitEvent::AluOp, 1),
+        OpClass::IntMul | OpClass::IntDiv => (UnitEvent::MulOp, 1),
+        OpClass::FpAdd => (UnitEvent::FpAluOp, 1),
+        OpClass::FpMul | OpClass::FpDiv => (UnitEvent::FpMulOp, 1),
+        // No functional unit.
+        OpClass::Load | OpClass::Store | OpClass::Syscall | OpClass::Nop => (UnitEvent::AluOp, 0),
+    };
+    stats.record_n(unit, uses);
+    if instr.op == OpClass::Sync {
+        // Rare outside sync regions, and they run sync ops back to back.
+        stats.record(UnitEvent::SyncOp);
     }
 }
 

@@ -12,9 +12,7 @@
 //! instructions (real instructions are never squashed, so synthetic
 //! generators never need to replay).
 
-use std::collections::VecDeque;
-
-use softwatt_isa::{CpuEvent, Instr, InstrSource, OpClass, Reg};
+use softwatt_isa::{CpuEvent, FuKind, Instr, InstrSource, OpClass, Reg};
 use softwatt_mem::MemHierarchy;
 use softwatt_stats::{StatsCollector, UnitEvent};
 
@@ -22,44 +20,78 @@ use crate::bpred::{BranchHistoryTable, BranchTargetBuffer, ReturnAddressStack};
 use crate::common::{record_execute_events, Cpu, CycleOutcome};
 use crate::config::MxsConfig;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SlotState {
-    Waiting,
-    Issued { complete_at: u64 },
-    Done,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    instr: Instr,
-    state: SlotState,
-    mispredicted: bool,
-    in_lsq: bool,
-    // In-window producers this instruction still waits on; decremented by
-    // the producer's completion wakeup. Ready to issue at zero.
-    outstanding: u8,
-    // TLB fault detected at fetch; raised as an event at commit.
-    fault: Option<u64>,
-}
-
-impl Slot {
-    /// Placeholder filling unoccupied ring entries.
-    fn vacant() -> Slot {
-        Slot {
-            instr: Instr::nop(0),
-            state: SlotState::Done,
-            mispredicted: false,
-            in_lsq: false,
-            outstanding: 0,
-            fault: None,
-        }
-    }
-}
-
+/// An instruction with the TLB fault its fetch detected (raised as an
+/// event at commit). Both the fetch buffer and the window hold these.
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     instr: Instr,
     fault: Option<u64>,
+}
+
+impl Fetched {
+    /// Placeholder filling unoccupied ring entries.
+    fn vacant() -> Fetched {
+        Fetched {
+            instr: Instr::nop(0),
+            fault: None,
+        }
+    }
+
+    /// Whether the instruction drains the pipeline: it enters an empty
+    /// window only, and fetch halts behind it until it commits.
+    fn serializes(&self) -> bool {
+        self.instr.op.is_serializing() | self.fault.is_some()
+    }
+}
+
+/// The fetch buffer: a fixed ring whose storage is the configured capacity
+/// rounded up to a power of two.
+#[derive(Debug)]
+struct FetchBuffer {
+    entries: Box<[Fetched]>,
+    head: usize,
+    len: usize,
+    capacity: usize,
+}
+
+impl FetchBuffer {
+    fn new(capacity: usize) -> FetchBuffer {
+        FetchBuffer {
+            entries: vec![Fetched::vacant(); capacity.next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.len >= self.capacity
+    }
+
+    fn front(&self) -> Option<&Fetched> {
+        (self.len > 0).then(|| &self.entries[self.head])
+    }
+
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0);
+        self.head = (self.head + 1) & (self.entries.len() - 1);
+        self.len -= 1;
+    }
+
+    fn push_back(&mut self, fetched: Fetched) {
+        debug_assert!(!self.is_full());
+        let tail = (self.head + self.len) & (self.entries.len() - 1);
+        self.entries[tail] = fetched;
+        self.len += 1;
+    }
 }
 
 /// Dispatch-time sentinel for "no producer, or producer already observed
@@ -67,39 +99,59 @@ struct Fetched {
 /// be memoized).
 const DEP_NONE: u64 = u64::MAX;
 
-/// One issuable instruction in the issue stage's scan list: all register
-/// dependences satisfied, held back only by issue bandwidth or a
-/// functional-unit hazard. Carries the FU class inline so the structural
-/// check never touches the slot ring.
-#[derive(Debug, Clone, Copy)]
-struct ReadyEntry {
-    seq: u64,
-    fu: softwatt_isa::FuKind,
+/// Bit `idx` of a slot mask (one bit per ring slot, one word per 64).
+#[inline]
+fn bit_get(mask: &[u64], idx: usize) -> bool {
+    mask[idx / 64] & (1 << (idx % 64)) != 0
+}
+
+#[inline]
+fn bit_set(mask: &mut [u64], idx: usize) {
+    mask[idx / 64] |= 1 << (idx % 64);
+}
+
+#[inline]
+fn bit_clear(mask: &mut [u64], idx: usize) {
+    mask[idx / 64] &= !(1 << (idx % 64));
+}
+
+/// Word `k` of `mask` rotated right by `start` bits: its bit `b` is ring
+/// slot `(start + 64 * k + b) % ring`. For a one-word mask this is
+/// `rotate_right(start)`. The word count is a power of two.
+#[inline]
+fn rotated_word(mask: &[u64], start: usize, k: usize) -> u64 {
+    let wrap = mask.len() - 1;
+    let (word, shift) = (start / 64 + k, start % 64);
+    let low = mask[word & wrap];
+    if shift == 0 {
+        low
+    } else {
+        (low >> shift) | (mask[(word + 1) & wrap] << (64 - shift))
+    }
 }
 
 /// The out-of-order CPU model. See the crate docs for an example.
 ///
 /// # Hot-path data layout
 ///
-/// The instruction window is a flat ring of `Slot`s keyed by sequence
+/// The instruction window is a flat ring of slots keyed by sequence
 /// number: the window is always the contiguous seq range
 /// `[front, next_seq)`, and the slot for seq `s` lives at `s & seq_mask`
-/// (ring capacity is the window size rounded up to a power of two, so live
-/// slots never collide). On top of the ring, two compact index lists keep
-/// the per-cycle stage work proportional to the instructions that can
-/// actually change state — not to window occupancy:
+/// (ring capacity is the window size rounded up to a power of two, and to
+/// at least 64, so live slots never collide). A slot's state is one bit in
+/// one of three slot masks, one `u64` word per 64 slots:
 ///
-/// * `ready`: seqs of issuable slots in age order (the issue stage's scan
-///   and selection priority). Dispatched instructions with outstanding
-///   producers are not listed anywhere — each registers in the producer's
-///   `consumers` wakeup list and enters `ready` when its outstanding count
-///   hits zero (event-driven wakeup, like real tag broadcast),
-/// * `inflight`: `(seq, complete_at)` of issued-but-incomplete slots (the
-///   complete stage's scan).
+/// * `ready`: dispatched with every producer resolved, waiting only for
+///   issue bandwidth or a functional unit. Issue reads it in age order;
+/// * `inflight`: issued, completing at `complete_at[slot]`;
+/// * `done`: complete, waiting to commit.
 ///
-/// Commit walks `front` forward over `Done` slots. The lists partition the
-/// window by state, so no stage rescans slots it cannot act on, and a
-/// dependence-stalled window costs nothing per cycle.
+/// A slot in none of them is waiting on `outstanding[slot]` producers.
+/// Each such producer holds the consumer's bit in its own `consumers`
+/// mask and clears the mask when it completes (event-driven wakeup, like
+/// real tag broadcast). Stage work is therefore proportional to the
+/// instructions that can change state, not to window occupancy, and a
+/// dependence-stalled window costs a few word tests per cycle.
 #[derive(Debug)]
 pub struct MxsCpu {
     config: MxsConfig,
@@ -107,18 +159,25 @@ pub struct MxsCpu {
     bht: BranchHistoryTable,
     btb: BranchTargetBuffer,
     ras: ReturnAddressStack,
-    fetch_buffer: VecDeque<Fetched>,
-    slots: Box<[Slot]>,
+    fetch_buffer: FetchBuffer,
+    slots: Box<[Fetched]>,
     seq_mask: u64,
     front: u64,
     next_seq: u64,
-    ready: Vec<ReadyEntry>,
-    inflight: Vec<(u64, u64)>,
-    // Completion wakeup lists, indexed like `slots`: consumers[i] holds the
-    // seqs of dispatched instructions still waiting on the producer in slot
-    // i (a consumer waiting on both operands from one producer appears
-    // twice). Drained when the producer is marked `Done`.
-    consumers: Box<[Vec<u64>]>,
+    ready: Box<[u64]>,
+    inflight: Box<[u64]>,
+    done: Box<[u64]>,
+    // Per producer slot, `words` words: the slots of dispatched consumers
+    // still waiting on it. A consumer reading both operands from one
+    // producer holds one bit and counts that producer once.
+    consumers: Box<[u64]>,
+    words: usize,
+    fu: Box<[FuKind]>,
+    outstanding: Box<[u8]>,
+    complete_at: Box<[u64]>,
+    // No in-flight slot completes before this cycle (`u64::MAX` when none
+    // is in flight).
+    earliest_completion: u64,
     last_writer: [Option<u64>; Reg::COUNT],
     lsq_used: usize,
     fetch_stall_until: u64,
@@ -140,21 +199,28 @@ impl MxsCpu {
     /// Panics if the configuration fails [`MxsConfig::validate`].
     pub fn new(config: MxsConfig) -> MxsCpu {
         config.validate().expect("invalid MXS configuration");
-        let ring = config.window_size.next_power_of_two();
+        let ring = config.window_size.next_power_of_two().max(64);
+        let words = ring / 64;
         MxsCpu {
             config,
             now: 0,
             bht: BranchHistoryTable::new(config.bht_entries),
             btb: BranchTargetBuffer::new(config.btb_entries),
             ras: ReturnAddressStack::new(config.ras_entries),
-            fetch_buffer: VecDeque::with_capacity(config.fetch_buffer),
-            slots: vec![Slot::vacant(); ring].into_boxed_slice(),
+            fetch_buffer: FetchBuffer::new(config.fetch_buffer),
+            slots: vec![Fetched::vacant(); ring].into_boxed_slice(),
             seq_mask: ring as u64 - 1,
             front: 0,
             next_seq: 0,
-            ready: Vec::with_capacity(config.window_size),
-            inflight: Vec::with_capacity(config.window_size),
-            consumers: vec![Vec::new(); ring].into_boxed_slice(),
+            ready: vec![0; words].into_boxed_slice(),
+            inflight: vec![0; words].into_boxed_slice(),
+            done: vec![0; words].into_boxed_slice(),
+            consumers: vec![0; ring * words].into_boxed_slice(),
+            words,
+            fu: vec![FuKind::None; ring].into_boxed_slice(),
+            outstanding: vec![0; ring].into_boxed_slice(),
+            complete_at: vec![0; ring].into_boxed_slice(),
+            earliest_completion: u64::MAX,
             last_writer: [None; Reg::COUNT],
             lsq_used: 0,
             fetch_stall_until: 0,
@@ -182,35 +248,71 @@ impl MxsCpu {
         (self.next_seq - self.front) as usize
     }
 
+    /// Whether producer `dep` has committed, completed, or completes by
+    /// now. The cases are or-ed without short-circuits: which one holds is
+    /// random, and every read is in bounds whatever `dep` is (a committed
+    /// producer's slot may hold a younger instruction, but then the first
+    /// case already holds).
     fn dep_satisfied(&self, dep: u64) -> bool {
-        if dep < self.front {
-            return true; // producer already committed
-        }
         debug_assert!(dep < self.next_seq, "dep points at an undispatched seq");
-        match self.slots[self.slot_index(dep)].state {
-            SlotState::Done => true,
-            SlotState::Issued { complete_at } => complete_at <= self.now,
-            SlotState::Waiting => false,
+        let idx = self.slot_index(dep);
+        (dep < self.front)
+            | bit_get(&self.done, idx)
+            | (bit_get(&self.inflight, idx) & (self.complete_at[idx] <= self.now))
+    }
+
+    // Stage preconditions. Each stage checks its own, and
+    // `skip_inert_cycles` combines the same helpers, so "this cycle does
+    // nothing" is never stated twice.
+
+    /// Commit can retire the head of the window. `done` holds window slots
+    /// only (set at completion, cleared at commit), so an empty window
+    /// reads false.
+    fn head_done(&self) -> bool {
+        bit_get(&self.done, self.slot_index(self.front))
+    }
+
+    /// Some dispatched instruction awaits only issue bandwidth or a unit.
+    #[inline]
+    fn any_ready(&self) -> bool {
+        self.ready.iter().any(|&w| w != 0)
+    }
+
+    /// The window has room for `fetched` this cycle: a free slot, a free
+    /// LSQ entry for a memory op, and an empty window for a serializer.
+    /// Combined without short-circuits, like `dep_satisfied`.
+    fn can_dispatch(&self, fetched: &Fetched) -> bool {
+        (self.window_len() < self.config.window_size)
+            & !(fetched.instr.op.is_mem() & (self.lsq_used >= self.config.lsq_size))
+            & !(fetched.serializes() & (self.front != self.next_seq))
+    }
+
+    /// The first cycle fetch may run if nothing else changes: never
+    /// (`u64::MAX`) while the source is exhausted, a serializer drains, a
+    /// mispredicted branch is unresolved or the buffer is full; otherwise
+    /// the end of any miss or refill stall.
+    fn fetch_resumes_at(&self) -> u64 {
+        if self.source_exhausted
+            || self.draining
+            || self.awaiting_branch.is_some()
+            || self.fetch_buffer.is_full()
+        {
+            u64::MAX
+        } else {
+            self.fetch_stall_until.max(self.now)
         }
     }
 
     fn commit_stage(&mut self, stats: &mut StatsCollector) -> (u32, Option<CpuEvent>) {
         let mut committed = 0;
         let mut event = None;
-        while committed < self.config.commit_width {
-            if self.front == self.next_seq {
-                break;
-            }
+        while committed < self.config.commit_width && self.head_done() {
             let idx = self.slot_index(self.front);
-            if self.slots[idx].state != SlotState::Done {
-                break;
-            }
-            let slot = self.slots[idx];
+            bit_clear(&mut self.done, idx);
             self.front += 1;
-            if slot.in_lsq {
-                self.lsq_used -= 1;
-            }
-            let instr = slot.instr;
+            let slot = &self.slots[idx];
+            let instr = &slot.instr;
+            self.lsq_used -= usize::from(instr.op.is_mem());
             if instr.op == OpClass::BranchCond {
                 self.bht.update(instr.pc, instr.taken);
                 stats.record(UnitEvent::BhtUpdate);
@@ -250,162 +352,149 @@ impl MxsCpu {
 
     fn complete_stage(&mut self, stats: &mut StatsCollector) {
         let now = self.now;
-        let mut resolved_awaited = false;
-        let awaiting = self.awaiting_branch;
-        // Scan only issued-but-incomplete slots; completed entries leave the
-        // list. Events recorded here are order-independent within the cycle
-        // (windows close only in `tick`), so swap_remove's reordering of the
-        // scan is observationally identical to the old full-window walk.
-        let mut i = 0;
-        while i < self.inflight.len() {
-            let (seq, complete_at) = self.inflight[i];
-            if complete_at > now {
-                i += 1;
-                continue;
+        if now < self.earliest_completion {
+            return;
+        }
+        // The awaited mispredicted branch is the only mispredicted
+        // instruction in the window: fetch halts at it until it resolves.
+        let awaited = self
+            .awaiting_branch
+            .filter(|&seq| seq < self.next_seq)
+            .map(|seq| self.slot_index(seq));
+        let mut earliest = u64::MAX;
+        for word in 0..self.words {
+            // Split the word's in-flight slots into those due now and the
+            // rest, whose earliest completion bounds the next scan.
+            let mut due = 0;
+            let mut bits = self.inflight[word];
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let complete_at = self.complete_at[word * 64 + bit as usize];
+                let is_due = complete_at <= now;
+                due |= u64::from(is_due) << bit;
+                earliest = earliest.min(if is_due { u64::MAX } else { complete_at });
             }
-            self.inflight.swap_remove(i);
-            let idx = (seq & self.seq_mask) as usize;
-            let slot = &mut self.slots[idx];
-            slot.state = SlotState::Done;
-            let mispredicted = slot.mispredicted;
-            if slot.instr.dest.is_some() {
+            self.inflight[word] &= !due;
+            self.done[word] |= due;
+            // Events recorded here are order-independent within the cycle
+            // (windows close only in `tick`), so completing in slot order
+            // is observationally identical to any other order.
+            while due != 0 {
+                let idx = word * 64 + due.trailing_zeros() as usize;
+                due &= due - 1;
                 // Tag broadcast wakes up window consumers.
-                stats.record(UnitEvent::WindowWakeup);
-            }
-            // Wake registered consumers; those whose last outstanding
-            // producer this was become issuable. `ready` is kept sorted by
-            // seq so issue priority stays oldest-first.
-            if !self.consumers[idx].is_empty() {
-                let mut woken = std::mem::take(&mut self.consumers[idx]);
-                for &c in &woken {
-                    let cslot = &mut self.slots[(c & self.seq_mask) as usize];
-                    cslot.outstanding -= 1;
-                    if cslot.outstanding == 0 {
-                        let entry = ReadyEntry {
-                            seq: c,
-                            fu: cslot.instr.op.fu(),
-                        };
-                        let pos = self.ready.partition_point(|e| e.seq < c);
-                        self.ready.insert(pos, entry);
+                stats.record_n(
+                    UnitEvent::WindowWakeup,
+                    u64::from(self.slots[idx].instr.dest.is_some()),
+                );
+                // Wake registered consumers; those whose last outstanding
+                // producer this was become issuable.
+                let base = idx * self.words;
+                for cword in 0..self.words {
+                    let mut waiting = std::mem::take(&mut self.consumers[base + cword]);
+                    while waiting != 0 {
+                        let bit = waiting.trailing_zeros();
+                        waiting &= waiting - 1;
+                        let c = cword * 64 + bit as usize;
+                        self.outstanding[c] -= 1;
+                        self.ready[cword] |= u64::from(self.outstanding[c] == 0) << bit;
                     }
                 }
-                woken.clear();
-                self.consumers[idx] = woken; // keep the allocation
-            }
-            if mispredicted {
-                stats.record(UnitEvent::BranchMispredict);
-                stats.record_n(
-                    UnitEvent::WrongPathFetch,
-                    u64::from(self.config.fetch_width * self.config.mispredict_penalty) / 2,
-                );
-                self.fetch_stall_until = self
-                    .fetch_stall_until
-                    .max(now + u64::from(self.config.mispredict_penalty));
-                if awaiting == Some(seq) {
-                    resolved_awaited = true;
+                if awaited == Some(idx) {
+                    stats.record(UnitEvent::BranchMispredict);
+                    stats.record_n(
+                        UnitEvent::WrongPathFetch,
+                        u64::from(self.config.fetch_width * self.config.mispredict_penalty) / 2,
+                    );
+                    self.fetch_stall_until = self
+                        .fetch_stall_until
+                        .max(now + u64::from(self.config.mispredict_penalty));
+                    self.awaiting_branch = None;
                 }
             }
         }
-        if resolved_awaited {
-            self.awaiting_branch = None;
-        }
+        self.earliest_completion = earliest;
     }
 
     fn issue_stage(&mut self, mem: &mut MemHierarchy, stats: &mut StatsCollector) {
-        // `ready` holds only issuable entries (dependences satisfied at
-        // wakeup time), so an empty list means nothing can issue — the
-        // common dependence-stall case costs one branch. Skipped cycles
-        // issue nothing and record nothing, exactly like the scan they
-        // elide.
-        if self.ready.is_empty() {
+        // The ready mask holds only issuable slots (dependences satisfied
+        // at wakeup time), so an empty mask means nothing can issue and
+        // nothing is recorded, exactly like the scan it elides.
+        if !self.any_ready() {
             return;
         }
         let mut issued = 0;
-        let mut int_used = 0;
-        let mut fp_used = 0;
-        let mut mem_used = 0;
+        // Units busy this cycle and their counts, indexed by `FuKind`
+        // discriminant (`Int`, `Fp`, `Mem`, `None`); a unit-less op never
+        // blocks.
+        let units = [
+            self.config.int_units,
+            self.config.fp_units,
+            self.config.mem_ports,
+            u32::MAX,
+        ];
+        let mut used = [0u32; 4];
         let now = self.now;
+        let ring = self.slots.len();
 
-        // `ready` is sorted by seq, so scanning it front-to-back reproduces
-        // the old oldest-first window walk over the same candidate set:
-        // entries the old walk rejected for unsatisfied dependences never
-        // touched the bandwidth or functional-unit counters, so dropping
-        // them from the scan changes nothing observable. Issued entries are
-        // compacted out in place (`kept` is the write cursor).
-        let mut kept = 0;
-        let ready_len = self.ready.len();
-        for scan in 0..ready_len {
-            if issued >= self.config.issue_width {
-                // Issue bandwidth exhausted: the tail is untouched, shift
-                // it down en bloc.
-                self.ready.copy_within(scan..ready_len, kept);
-                kept += ready_len - scan;
-                break;
-            }
-            let entry = self.ready[scan];
-            // Structural hazards are the only remaining blockers.
-            let blocked = match entry.fu {
-                softwatt_isa::FuKind::Int => int_used >= self.config.int_units,
-                softwatt_isa::FuKind::Fp => fp_used >= self.config.fp_units,
-                softwatt_isa::FuKind::Mem => mem_used >= self.config.mem_ports,
-                softwatt_isa::FuKind::None => false,
-            };
-            if blocked {
-                self.ready[kept] = entry;
-                kept += 1;
-                continue;
-            }
+        // Age order is ring order from `front`'s slot: rotate the mask so
+        // bit 0 is that slot and read bits upward. Slots dependences still
+        // hold back have no ready bit and never touched the bandwidth or
+        // unit counters, so the issued set and the order of
+        // `mem.data_access` calls are those of an oldest-first walk over
+        // the whole window.
+        let start = self.slot_index(self.front);
+        'walk: for k in 0..self.words {
+            let mut bits = rotated_word(&self.ready, start, k);
+            while bits != 0 {
+                if issued >= self.config.issue_width {
+                    break 'walk;
+                }
+                let idx = (start + 64 * k + bits.trailing_zeros() as usize) & (ring - 1);
+                bits &= bits - 1;
+                let fu = self.fu[idx] as usize;
+                // Structural hazards are the only remaining blockers.
+                if used[fu] >= units[fu] {
+                    continue;
+                }
 
-            // Execute.
-            let idx = (entry.seq & self.seq_mask) as usize;
-            debug_assert_eq!(self.slots[idx].state, SlotState::Waiting);
-            let instr = self.slots[idx].instr;
-            let mut latency = u64::from(instr.op.latency());
-            if let Some(addr) = instr.mem_addr {
-                let is_store = instr.op == OpClass::Store;
-                let mem_latency = mem.data_access(addr, is_store, stats);
-                stats.record(UnitEvent::LsqSearch);
-                latency = if is_store {
-                    // Stores retire through the write buffer.
-                    u64::from(instr.op.latency())
-                } else {
-                    u64::from(mem_latency)
-                };
+                // Execute.
+                let instr = &self.slots[idx].instr;
+                let mut latency = u64::from(instr.op.latency());
+                if let Some(addr) = instr.mem_addr {
+                    let is_store = instr.op == OpClass::Store;
+                    let mem_latency = mem.data_access(addr, is_store, stats);
+                    stats.record(UnitEvent::LsqSearch);
+                    if !is_store {
+                        // Stores retire through the write buffer.
+                        latency = u64::from(mem_latency);
+                    }
+                }
+                record_execute_events(instr, stats);
+                stats.record(UnitEvent::WindowIssue);
+                let complete_at = now + latency;
+                bit_clear(&mut self.ready, idx);
+                bit_set(&mut self.inflight, idx);
+                self.complete_at[idx] = complete_at;
+                self.earliest_completion = self.earliest_completion.min(complete_at);
+                used[fu] += 1;
+                issued += 1;
             }
-            record_execute_events(&instr, stats);
-            stats.record(UnitEvent::WindowIssue);
-            let complete_at = now + latency;
-            self.slots[idx].state = SlotState::Issued { complete_at };
-            self.inflight.push((entry.seq, complete_at));
-            match entry.fu {
-                softwatt_isa::FuKind::Int => int_used += 1,
-                softwatt_isa::FuKind::Fp => fp_used += 1,
-                softwatt_isa::FuKind::Mem => mem_used += 1,
-                softwatt_isa::FuKind::None => {}
-            }
-            issued += 1;
         }
-        self.ready.truncate(kept);
     }
 
     fn dispatch_stage(&mut self, stats: &mut StatsCollector) {
         let mut dispatched = 0;
         while dispatched < self.config.decode_width {
-            let Some(fetched) = self.fetch_buffer.front().copied() else {
+            let Some(fetched) = self.fetch_buffer.front() else {
                 break;
             };
-            let instr = fetched.instr;
-            let serializes = instr.op.is_serializing() || fetched.fault.is_some();
-            if self.window_len() >= self.config.window_size {
+            if !self.can_dispatch(fetched) {
                 break;
             }
-            if instr.op.is_mem() && self.lsq_used >= self.config.lsq_size {
-                break;
-            }
-            if serializes && self.front != self.next_seq {
-                break; // serializers enter an empty window only
-            }
-            self.fetch_buffer.pop_front();
+            let instr = &fetched.instr;
+            let serializes = fetched.serializes();
             let mut deps = [DEP_NONE, DEP_NONE];
             if let Some(r) = instr.src1 {
                 if let Some(w) = self.last_writer[r.index()] {
@@ -419,46 +508,42 @@ impl MxsCpu {
             }
             // Drop deps already satisfied at dispatch (sound to check once:
             // satisfaction is monotone — committed producers stay
-            // committed, `Done` slots only recycle after their seq drops
-            // below `front`). What remains needs a completion wakeup.
+            // committed, done slots only recycle after their seq drops
+            // below `front`). What remains needs a completion wakeup, once
+            // per distinct producer.
             for d in &mut deps {
                 if *d != DEP_NONE && self.dep_satisfied(*d) {
                     *d = DEP_NONE;
                 }
             }
+            if deps[1] == deps[0] {
+                deps[1] = DEP_NONE;
+            }
             let seq = self.next_seq;
             self.next_seq += 1;
+            let idx = self.slot_index(seq);
             if let Some(d) = instr.dest {
                 self.last_writer[d.index()] = Some(seq);
             }
             let in_lsq = instr.op.is_mem();
-            if in_lsq {
-                self.lsq_used += 1;
-                stats.record(UnitEvent::LsqInsert);
-            }
+            self.lsq_used += usize::from(in_lsq);
+            stats.record_n(UnitEvent::LsqInsert, u64::from(in_lsq));
             let mut outstanding = 0u8;
             for d in deps {
                 if d != DEP_NONE {
                     outstanding += 1;
-                    self.consumers[(d & self.seq_mask) as usize].push(seq);
+                    let producer = self.slot_index(d);
+                    bit_set(
+                        &mut self.consumers[producer * self.words..(producer + 1) * self.words],
+                        idx,
+                    );
                 }
             }
-            self.slots[(seq & self.seq_mask) as usize] = Slot {
-                instr,
-                state: SlotState::Waiting,
-                mispredicted: false,
-                in_lsq,
-                outstanding,
-                fault: fetched.fault,
-            };
-            if outstanding == 0 {
-                // Issuable immediately; newest seq, so a plain push keeps
-                // `ready` sorted.
-                self.ready.push(ReadyEntry {
-                    seq,
-                    fu: instr.op.fu(),
-                });
-            }
+            self.fu[idx] = instr.op.fu();
+            self.outstanding[idx] = outstanding;
+            self.ready[idx / 64] |= u64::from(outstanding == 0) << (idx % 64);
+            self.slots[idx] = *fetched;
+            self.fetch_buffer.pop_front();
             dispatched += 1;
             if serializes {
                 break;
@@ -478,21 +563,12 @@ impl MxsCpu {
         mem: &mut MemHierarchy,
         stats: &mut StatsCollector,
     ) {
-        if self.source_exhausted
-            || self.draining
-            || self.awaiting_branch.is_some()
-            || self.now < self.fetch_stall_until
-        {
-            return;
-        }
-        if self.fetch_buffer.len() >= self.config.fetch_buffer {
+        if self.fetch_resumes_at() > self.now {
             return;
         }
         let mut fetched = 0;
         stats.record(UnitEvent::FetchCycle);
-        while fetched < self.config.fetch_width
-            && self.fetch_buffer.len() < self.config.fetch_buffer
-        {
+        while fetched < self.config.fetch_width && !self.fetch_buffer.is_full() {
             let Some(instr) = frontend.next_instr(stats) else {
                 // A stalled frontend (process blocked on I/O under analytic
                 // idle handling) resumes later; only a true end-of-stream is
@@ -515,20 +591,17 @@ impl MxsCpu {
             }
             let mispredicted = self.predict(&instr, stats);
             if mispredicted {
-                // Remember which window seq this will get: it is dispatched
-                // later, so track by a sentinel updated at dispatch. We can
-                // compute it now: sequence numbers are assigned in dispatch
-                // order, and the fetch buffer preserves order, so this
-                // instruction's seq is next_seq + buffered instructions.
+                // Sequence numbers are assigned in dispatch order and the
+                // fetch buffer preserves order, so this instruction's seq
+                // is next_seq + buffered instructions. Completion of that
+                // seq charges the mispredict and lifts the halt.
                 self.awaiting_branch = Some(self.next_seq + self.fetch_buffer.len() as u64);
             }
-            let serializing = instr.op.is_serializing() || fault.is_some();
-            self.fetch_buffer.push_back(Fetched { instr, fault });
+            let entry = Fetched { instr, fault };
+            let serializing = entry.serializes();
+            self.fetch_buffer.push_back(entry);
             fetched += 1;
             if mispredicted {
-                // Mark the buffered instruction for mispredict accounting
-                // at resolve time (the slot flag is set during dispatch via
-                // awaiting_branch matching).
                 break;
             }
             if serializing {
@@ -538,17 +611,6 @@ impl MxsCpu {
             if miss_latency > 0 {
                 self.fetch_stall_until = self.now + u64::from(miss_latency);
                 break;
-            }
-        }
-    }
-
-    /// Propagates the awaited-branch flag onto its window slot once the
-    /// seq has been dispatched.
-    #[inline]
-    fn mark_awaited_branch(&mut self) {
-        if let Some(seq) = self.awaiting_branch {
-            if seq >= self.front && seq < self.next_seq {
-                self.slots[(seq & self.seq_mask) as usize].mispredicted = true;
             }
         }
     }
@@ -608,13 +670,11 @@ impl Cpu for MxsCpu {
         // On an event cycle the OS has not yet switched streams (it handles
         // the event after this call returns), so fetching would wrongly
         // observe end-of-stream. Real machines pay a trap-redirect bubble
-        // here anyway. The awaited-branch flag is propagated onto its slot
-        // after dispatch, once the seq exists in the window.
+        // here anyway.
         let (committed, event) = self.commit_stage(stats);
         self.complete_stage(stats);
         self.issue_stage(mem, stats);
         self.dispatch_stage(stats);
-        self.mark_awaited_branch();
         if event.is_none() {
             self.fetch_stage(frontend, mem, stats);
         }
@@ -627,6 +687,32 @@ impl Cpu for MxsCpu {
             event,
             program_exited,
         }
+    }
+
+    /// Nothing can happen until an in-flight instruction completes or a
+    /// fetch stall ends when the head cannot commit, nothing is ready to
+    /// issue and the buffer's head cannot dispatch: no stage acts, records
+    /// an event or calls the source until then. Such cycles are skipped
+    /// whole (never past a completion, so the stall that follows the
+    /// awaited branch's resolution is charged from the right cycle).
+    #[inline]
+    fn skip_inert_cycles(&mut self) -> u64 {
+        if self.head_done()
+            || self.any_ready()
+            || self
+                .fetch_buffer
+                .front()
+                .is_some_and(|f| self.can_dispatch(f))
+        {
+            return 0;
+        }
+        let until = self.earliest_completion.min(self.fetch_resumes_at());
+        if until == u64::MAX || until <= self.now {
+            return 0;
+        }
+        let skipped = until - self.now;
+        self.now = until;
+        skipped
     }
 
     fn committed_instructions(&self) -> u64 {

@@ -154,19 +154,9 @@ impl Disk {
         disk
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DiskConfig {
-        &self.config
-    }
-
     /// Mode at the last synced cycle.
     pub fn mode(&self) -> DiskMode {
         self.mode
-    }
-
-    /// Cycle until which the disk is busy servicing requests.
-    pub fn busy_until(&self) -> u64 {
-        self.busy_until
     }
 
     /// Energy consumed so far (paper-time Joules), up to the last synced

@@ -12,7 +12,7 @@
 //! are tuned only on these *cycle-side* knobs; every energy number is
 //! computed downstream by the analytical power models.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::{Instr, OpClass, Reg};
 
@@ -44,16 +44,34 @@ impl DataPattern {
             hot_frac: 1.0,
         }
     }
+}
 
-    /// Draws an access address.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let span = if rng.gen::<f64>() < self.hot_frac {
-            self.hot_bytes
-        } else {
-            self.span_bytes
-        };
-        // 8-byte aligned accesses.
-        self.base + (rng.gen_range(0..span.max(8)) & !7)
+/// A uniform draw from `[0, n)` by the algorithm of `rng.gen_range(0..n)`
+/// (Lemire's widening multiply with rejection), with the rejection zone
+/// computed once instead of by a u64 `%` on every draw. It returns the same
+/// values and consumes the same draws, so a stream is unchanged.
+#[derive(Debug, Clone, Copy)]
+struct UniformBelow {
+    range: u64,
+    zone: u64,
+}
+
+impl UniformBelow {
+    fn new(n: u64) -> UniformBelow {
+        UniformBelow {
+            range: n,
+            zone: u64::MAX - (u64::MAX - n + 1) % n,
+        }
+    }
+
+    #[inline]
+    fn sample<R: RngCore>(&self, rng: &mut R) -> u64 {
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(self.range);
+            if m as u64 <= self.zone {
+                return (m >> 64) as u64;
+            }
+        }
     }
 }
 
@@ -163,6 +181,9 @@ pub struct MixGenerator {
     within_loop: u32,
     stay_count: u32,
     loop_idx: u32,
+    // The data pattern's two address ranges, ready to draw from.
+    hot: UniformBelow,
+    span: UniformBelow,
 }
 
 impl MixGenerator {
@@ -181,6 +202,8 @@ impl MixGenerator {
             within_loop: 0,
             stay_count: 0,
             loop_idx: 0,
+            hot: UniformBelow::new(spec.data.hot_bytes.max(8)),
+            span: UniformBelow::new(spec.data.span_bytes.max(8)),
         }
     }
 
@@ -212,6 +235,18 @@ impl MixGenerator {
                 self.loop_idx = 0;
             }
         }
+    }
+
+    /// Draws a data address from the spec's [`DataPattern`]: `hot_frac`
+    /// of draws fall in the hot subset, the rest anywhere in the span,
+    /// 8-byte aligned.
+    fn data_addr<R: Rng>(&self, rng: &mut R) -> u64 {
+        let range = if rng.gen::<f64>() < self.spec.data.hot_frac {
+            &self.hot
+        } else {
+            &self.span
+        };
+        self.spec.data.base + (range.sample(rng) & !7)
     }
 
     fn next_reg(&mut self) -> Reg {
@@ -259,12 +294,12 @@ impl MixGenerator {
             Instr::branch(pc, src, taken, target)
         } else if roll < s.branch + s.load {
             let dest = self.next_reg();
-            let addr = s.data.sample(rng);
+            let addr = self.data_addr(rng);
             let base = self.src(rng);
             self.last_dest = Some(dest);
             Instr::load(pc, dest, base, addr)
         } else if roll < s.branch + s.load + s.store {
-            let addr = s.data.sample(rng);
+            let addr = self.data_addr(rng);
             let value = self.src(rng);
             self.last_dest = None;
             Instr::store(pc, value, Some(Reg::int(29)), addr)
@@ -388,15 +423,45 @@ mod tests {
 
     #[test]
     fn hot_pattern_concentrates_accesses() {
-        let p = DataPattern {
+        let mut spec = MixSpec::compute_bound(0x1000, 0);
+        spec.data = DataPattern {
             base: 0,
             hot_bytes: 1024,
             span_bytes: 1024 * 1024,
             hot_frac: 0.9,
         };
+        let g = MixGenerator::new(spec);
         let mut rng = SmallRng::seed_from_u64(9);
-        let hits = (0..10_000).filter(|_| p.sample(&mut rng) < 1024).count();
+        let hits = (0..10_000).filter(|_| g.data_addr(&mut rng) < 1024).count();
         assert!(hits > 8_500, "expected ~90% hot accesses, got {hits}");
+    }
+
+    /// The precomputed zone draws exactly what `gen_range(0..n)` draws and
+    /// consumes the same generator output, including where rejection is
+    /// frequent (`2^63 + 1` rejects almost half the draws).
+    #[test]
+    fn uniform_below_matches_gen_range() {
+        let mut ns = vec![1, 8, 12 * 1024, 96 * 1024, (1 << 63) + 1, u64::MAX];
+        for k in [3, 10, 17, 32, 40, 62] {
+            ns.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for n in ns {
+            let sampler = UniformBelow::new(n);
+            let mut ours = SmallRng::seed_from_u64(n);
+            let mut reference = SmallRng::seed_from_u64(n);
+            for _ in 0..2_000 {
+                assert_eq!(
+                    sampler.sample(&mut ours),
+                    reference.gen_range(0..n),
+                    "n = {n}"
+                );
+            }
+            assert_eq!(
+                ours.next_u64(),
+                reference.next_u64(),
+                "n = {n}: draws consumed"
+            );
+        }
     }
 
     #[test]

@@ -2,23 +2,31 @@
 
 use crate::CacheGeometry;
 
+/// One way of a set, in 16 bytes so a 2-way set fits half a host cache
+/// line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    // Higher = more recently used.
-    lru: u64,
+    // The tick of the line's last access shifted left by one, with the
+    // dirty flag in bit 0; 0 for an invalid line (ticks start at 1).
+    // Ticks are unique, so stamps order lines by recency whatever their
+    // dirty bits.
+    stamp: u64,
 }
 
 impl Line {
+    const DIRTY: u64 = 1;
+
     fn invalid() -> Line {
-        Line {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            lru: 0,
-        }
+        Line { tag: 0, stamp: 0 }
+    }
+
+    fn is_valid(&self) -> bool {
+        self.stamp != 0
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.stamp & Line::DIRTY != 0
     }
 }
 
@@ -55,6 +63,14 @@ pub struct Cache {
     // per-fetch/per-load hot path of every simulated cycle.
     lines: Box<[Line]>,
     assoc: usize,
+    // The geometry's set/tag split as shifts and a mask (line size and set
+    // count are powers of two): `set_index` and `tag` without the four
+    // u64 divisions the geometry's formulas cost per access. Kept here,
+    // not in `CacheGeometry`, whose `Debug` text is part of every trace
+    // key.
+    line_shift: u32,
+    set_mask: u64,
+    tag_shift: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -64,10 +80,15 @@ impl Cache {
     /// Creates a cold cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Cache {
         let assoc = geometry.assoc() as usize;
+        let sets = geometry.sets();
+        let line_shift = geometry.line_bytes().trailing_zeros();
         Cache {
             geometry,
-            lines: vec![Line::invalid(); assoc * geometry.sets() as usize].into_boxed_slice(),
+            lines: vec![Line::invalid(); assoc * sets as usize].into_boxed_slice(),
             assoc,
+            line_shift,
+            set_mask: sets - 1,
+            tag_shift: line_shift + sets.trailing_zeros(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -79,56 +100,66 @@ impl Cache {
         self.geometry
     }
 
+    /// `(set index, tag)` of `addr`: the geometry's `set_index` and `tag`.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        (
+            ((addr >> self.line_shift) & self.set_mask) as usize,
+            addr >> self.tag_shift,
+        )
+    }
+
+    /// Address of the line with `tag` in set `set_index`.
+    #[inline]
+    fn line_address(&self, set_index: usize, tag: u64) -> u64 {
+        (tag << self.tag_shift) | ((set_index as u64) << self.line_shift)
+    }
+
     /// Accesses `addr`, allocating on miss. `write` marks the line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
-        let set_index = self.geometry.set_index(addr) as usize;
-        let tag = self.geometry.tag(addr);
+        let (set_index, tag) = self.locate(addr);
         let tick = self.tick;
         let base = set_index * self.assoc;
         let set = &mut self.lines[base..base + self.assoc];
 
-        // Tags are unique within a set and LRU ticks are unique per access,
-        // so neither the hit scan order nor the victim choice depends on
-        // slot order: outcomes are identical to the old per-set Vec model.
+        // One pass over every way that picks the hit and the victim by
+        // selects, not early exits: which way hits is random, so an exit
+        // mispredicts on the host. Tags are unique within a set and LRU
+        // ticks are unique per access, so neither the hit nor the victim
+        // depends on slot order: outcomes are identical to the old per-set
+        // Vec model.
+        let mut hit = None;
         let mut victim = 0;
-        let mut victim_lru = u64::MAX;
-        for (i, line) in set.iter_mut().enumerate() {
-            if !line.valid {
-                // Prefer filling an invalid way: never an eviction.
+        let mut victim_stamp = u64::MAX;
+        for (i, line) in set.iter().enumerate() {
+            if line.is_valid() && line.tag == tag {
+                hit = Some(i);
+            }
+            // An invalid way's stamp is 0, below every valid one, so
+            // filling an invalid way always beats an eviction.
+            if line.stamp < victim_stamp {
                 victim = i;
-                victim_lru = 0;
-                continue;
+                victim_stamp = line.stamp;
             }
-            if line.tag == tag {
-                line.lru = tick;
-                line.dirty |= write;
-                self.hits += 1;
-                return AccessOutcome {
-                    hit: true,
-                    writeback: None,
-                };
-            }
-            if line.lru < victim_lru {
-                victim = i;
-                victim_lru = line.lru;
-            }
+        }
+        let stamp = (tick << 1) | u64::from(write);
+        if let Some(i) = hit {
+            let line = &mut set[i];
+            line.stamp = stamp | (line.stamp & Line::DIRTY);
+            self.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                writeback: None,
+            };
         }
 
         self.misses += 1;
-        let mut writeback = None;
-        let line = &mut set[victim];
-        if line.valid && line.dirty {
-            let victim_addr = (line.tag * self.geometry.sets() + set_index as u64)
-                * u64::from(self.geometry.line_bytes());
-            writeback = Some(victim_addr);
-        }
-        *line = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: tick,
-        };
+        let line = set[victim];
+        let writeback = line
+            .is_dirty()
+            .then(|| self.line_address(set_index, line.tag));
+        self.lines[base + victim] = Line { tag, stamp };
         AccessOutcome {
             hit: false,
             writeback,
@@ -137,11 +168,11 @@ impl Cache {
 
     /// Whether the line containing `addr` is resident (no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
-        let base = self.geometry.set_index(addr) as usize * self.assoc;
-        let tag = self.geometry.tag(addr);
+        let (set_index, tag) = self.locate(addr);
+        let base = set_index * self.assoc;
         self.lines[base..base + self.assoc]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.is_valid() && l.tag == tag)
     }
 
     /// Invalidates the whole cache, discarding dirty state (the paper's
@@ -149,9 +180,8 @@ impl Cache {
     pub fn flush(&mut self) -> u64 {
         let mut dropped = 0;
         for line in &mut self.lines {
-            dropped += u64::from(line.valid);
-            line.valid = false;
-            line.dirty = false;
+            dropped += u64::from(line.is_valid());
+            line.stamp = 0;
         }
         dropped
     }
@@ -258,6 +288,34 @@ mod tests {
         c.access(2 * stride, false); // LRU is line 0
         assert!(!c.probe(0));
         assert!(c.probe(stride));
+    }
+
+    /// Shift-and-mask indexing equals the geometry's division formulas on
+    /// every geometry the harness builds (the L1I sweep's 8-128 KiB, the
+    /// 32 KiB L1D, the 1 MiB/128 B L2) and on a 3-way cache, and a line's
+    /// address rebuilt from its set and tag is the line-aligned address.
+    #[test]
+    fn shift_indexing_equals_the_division_formulas() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut geometries: Vec<CacheGeometry> = [8u64, 16, 32, 64, 128]
+            .iter()
+            .map(|kb| CacheGeometry::new(kb * 1024, 64, 2))
+            .collect();
+        geometries.push(CacheGeometry::new(1024 * 1024, 128, 2));
+        geometries.push(CacheGeometry::new(3 * 64 * 64, 64, 3));
+        let mut rng = SmallRng::seed_from_u64(24);
+        for g in geometries {
+            let c = Cache::new(g);
+            for _ in 0..10_000 {
+                let addr = rng.gen::<u64>() >> rng.gen_range(0..40u32);
+                let (set_index, tag) = c.locate(addr);
+                assert_eq!(set_index as u64, g.set_index(addr), "{g} {addr:#x}");
+                assert_eq!(tag, g.tag(addr), "{g} {addr:#x}");
+                assert_eq!(c.line_address(set_index, tag), g.line_addr(addr), "{g}");
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ impl MemHierarchy {
 
     /// Fetches the instruction at `pc`. Returns the latency in cycles
     /// *beyond* the pipelined L1 hit (0 for a hit).
+    #[inline]
     pub fn fetch(&mut self, pc: u64, stats: &mut StatsCollector) -> u32 {
         stats.record(UnitEvent::IcacheAccess);
         let out = self.il1.access(pc, false);
@@ -135,6 +136,7 @@ impl MemHierarchy {
     /// bypass translation entirely, as on MIPS. Returns `false` on a TLB
     /// miss, in which case the OS must run `utlb` and call
     /// [`MemHierarchy::tlb_insert`].
+    #[inline]
     pub fn translate(&mut self, vaddr: u64, stats: &mut StatsCollector) -> bool {
         if is_kernel_addr(vaddr) {
             return true;

@@ -209,8 +209,13 @@ impl SystemOs {
     ///
     /// The queue's capacity is reused across cycles, so the simulator's
     /// per-cycle driver loop never allocates here (the old `take_deferred`
-    /// returned a fresh `Vec` every cycle).
+    /// returned a fresh `Vec` every cycle), and an empty queue, the common
+    /// case, returns at once.
+    #[inline]
     pub fn apply_deferred(&mut self, mem: &mut MemHierarchy, stats: &mut StatsCollector) {
+        if self.deferred.is_empty() {
+            return;
+        }
         for op in self.deferred.drain(..) {
             match op {
                 DeferredOp::TlbFill(vaddr) => mem.tlb_insert(vaddr, stats),

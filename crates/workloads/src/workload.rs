@@ -51,6 +51,9 @@ pub struct Workload {
     chunk_gen: MixGenerator,
     phase_idx: usize,
     phase_end: u64,
+    // The phase's `SyscallRates::total`, summed once per phase instead of
+    // on every instruction.
+    syscall_total: f64,
     gen: MixGenerator,
     burst_cycles: Vec<(u64, u32, u32)>, // (cycle, files, bytes)
     next_burst: usize,
@@ -119,6 +122,7 @@ impl Workload {
         let phase_end = (phase0.frac * budget as f64) as u64;
         let gen = MixGenerator::new(mix_for(phase0, 0));
         let chunk_gen = MixGenerator::new(mix_for(phase0, 0));
+        let syscall_total = phase0.syscalls.total();
         Workload {
             next_cold_file: spec.class_files,
             spec,
@@ -130,6 +134,7 @@ impl Workload {
             chunk_gen,
             phase_idx: 0,
             phase_end,
+            syscall_total,
             gen,
             burst_cycles,
             next_burst: 0,
@@ -203,17 +208,18 @@ impl Workload {
                 .map(|p| p.frac)
                 .sum();
             self.phase_end = (consumed * self.budget as f64) as u64;
-            let mix = mix_for(&self.spec.phases[self.phase_idx], self.phase_idx);
-            self.gen = MixGenerator::new(mix);
+            let phase = &self.spec.phases[self.phase_idx];
+            self.syscall_total = phase.syscalls.total();
+            self.gen = MixGenerator::new(mix_for(phase, self.phase_idx));
         }
     }
 
     fn sample_steady_syscall(&mut self) -> Option<SyscallKind> {
-        let rates = self.spec.phases[self.phase_idx].syscalls;
-        let total = rates.total();
+        let total = self.syscall_total;
         if total <= 0.0 || self.rng.gen::<f64>() >= total / 1000.0 {
             return None;
         }
+        let rates = self.spec.phases[self.phase_idx].syscalls;
         let mean = rates.io_bytes_mean.max(64) as f64;
         let io_bytes = (mean * (0.5 + 1.5 * self.rng.gen::<f64>())) as u32;
         let warm_file = FileRef(WARM_FILE_BASE + self.rng.gen_range(0..WARM_FILES));
