@@ -1445,8 +1445,7 @@ pub struct MemoryProfiles {
 fn profile_series(bundle: &RunBundle) -> ProfileSeries {
     let profile = bundle.model.profile(&bundle.run.log);
     let rows = profile
-        .points
-        .iter()
+        .points()
         .map(|p| {
             let mode_pct = Mode::ALL.map(|m| 100.0 * p.mode_share(m));
             let mem_w =

@@ -106,6 +106,16 @@ pub struct PowerModel {
     clock: ClockModel,
 }
 
+/// Average power of `energy` spent over `cycles` cycles of a `freq_hz`
+/// clock (W), per group; zero for an empty window.
+pub(crate) fn average_power_w(energy: &GroupPower, cycles: u64, freq_hz: f64) -> GroupPower {
+    if cycles == 0 {
+        return GroupPower::new();
+    }
+    let secs = cycles as f64 / freq_hz;
+    energy.scaled(1.0 / secs)
+}
+
 impl PowerModel {
     /// Builds the model from structural parameters.
     pub fn new(params: &PowerParams) -> PowerModel {
@@ -280,17 +290,11 @@ impl PowerModel {
 
     /// Average power over a window (W), per group.
     pub fn window_power_w(&self, events: &CounterSet, cycles: u64) -> GroupPower {
-        self.average_power_w(&self.window_energy_j(events, cycles), cycles)
-    }
-
-    /// Average power of `energy` spent over `cycles` cycles (W), per
-    /// group; zero for an empty window.
-    pub(crate) fn average_power_w(&self, energy: &GroupPower, cycles: u64) -> GroupPower {
-        if cycles == 0 {
-            return GroupPower::new();
-        }
-        let secs = cycles as f64 / self.params.tech.freq_hz;
-        energy.scaled(1.0 / secs)
+        average_power_w(
+            &self.window_energy_j(events, cycles),
+            cycles,
+            self.params.tech.freq_hz,
+        )
     }
 
     /// The validation experiment: CPU power with every unit operating at

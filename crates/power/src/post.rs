@@ -6,18 +6,32 @@
 //! [`softwatt_stats::Segments`]) that a capture run's log shares with its
 //! trace and every log replayed from the trace, and those windows'
 //! energies do not depend on the disk policy. The first post-processing
-//! call on a block therefore computes every work window's energies once
-//! and keeps them in the block's memo slot, tagged with its power model;
-//! later calls with an equal model read them from there. An idle-gap run
-//! computes its first window and one event-free window per call. Every
-//! energy is `window_energy_j` of the same counts and cycles, folded in
-//! window and mode order, so every result is bit-identical to computing
-//! each window directly.
+//! call on a block claims the block's memo slot for its power model; an
+//! equal model later reads what the memo holds, and any other model
+//! computes the same data afresh and runs the same code. The memo holds
+//! two things, each filled by the first call that reads it:
+//!
+//! - for [`PowerModel::mode_table`], the block's per-mode energy sums, so
+//!   a table folds only the log's idle windows, in log order;
+//! - for [`PowerModel::profile`], every work window's profile point but
+//!   its end time, which the returned [`PowerProfile`] shares instead of
+//!   copying.
+//!
+//! An idle-gap run evaluates its first and last windows and one full
+//! event-free window per call. Every energy is `window_energy_j` of the
+//! same counts and cycles, every power is that energy scaled by the same
+//! cycles, and every sum adds the same terms in the same order as a
+//! window-by-window fold in log order, so every result is bit-identical to
+//! computing each window directly.
 
-use softwatt_stats::{LogRun, Mode, SimLog, Window};
+use std::fmt;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
+
+use softwatt_stats::{Clocking, CounterSet, LogRun, Mode, ModeCounters, Segments, SimLog};
 
 use crate::group::GroupPower;
-use crate::model::PowerModel;
+use crate::model::{average_power_w, PowerModel};
 
 /// One point of a time-resolved power/execution profile (Figures 3 and 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -52,14 +66,75 @@ impl ProfilePoint {
     }
 }
 
-/// A time-resolved profile of the whole run.
-#[derive(Debug, Clone, PartialEq)]
+/// A time-resolved profile of the whole run, one point per log window.
+///
+/// The profile is a view: it shares the points of the log's work windows
+/// (the block memo's when the model owns it, see [`PowerModel::profile`])
+/// and holds one entry per run of the log, so it stays readable after the
+/// log is dropped. Every power model evaluation and every energy-to-power
+/// scaling happens when the profile is built; [`PowerProfile::points`]
+/// only copies each window's point and computes its end time.
+#[derive(Clone)]
 pub struct PowerProfile {
-    /// Profile points in time order, one per log sample.
-    pub points: Vec<ProfilePoint>,
+    clocking: Clocking,
+    /// The point of every work window of the log's block, in block order,
+    /// each with a zero end time.
+    windows: Arc<[ProfilePoint]>,
+    /// The log's idle gaps, their energies scaled to power.
+    gaps: Vec<GapWindows>,
+    runs: Vec<ProfileRun>,
+}
+
+/// One run of a [`PowerProfile`], in log order, from its start cycle.
+#[derive(Clone)]
+enum ProfileRun {
+    /// The block's work windows `windows`.
+    Segment {
+        start_cycle: u64,
+        windows: Range<usize>,
+    },
+    /// The profile's gap `gap`.
+    Gap { start_cycle: u64, gap: usize },
 }
 
 impl PowerProfile {
+    /// Number of points: one per window of the log.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|run| self.run_len(run)).sum()
+    }
+
+    fn run_len(&self, run: &ProfileRun) -> usize {
+        match run {
+            ProfileRun::Segment { windows, .. } => windows.len(),
+            ProfileRun::Gap { gap, .. } => self.gaps[*gap].len(),
+        }
+    }
+
+    /// Whether the profile has no points.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The profile points in time order, one per log window.
+    pub fn points(&self) -> impl Iterator<Item = ProfilePoint> + '_ {
+        self.runs.iter().flat_map(move |run| {
+            let (ProfileRun::Segment { start_cycle, .. } | ProfileRun::Gap { start_cycle, .. }) =
+                run;
+            let mut cycle = *start_cycle;
+            (0..self.run_len(run)).map(move |j| {
+                let point = match run {
+                    ProfileRun::Segment { windows, .. } => self.windows[windows.start + j].clone(),
+                    ProfileRun::Gap { gap, .. } => self.gaps[*gap].point(j),
+                };
+                cycle += point.cycles;
+                ProfilePoint {
+                    t_end_s: self.clocking.cycles_to_paper_secs(cycle),
+                    ..point
+                }
+            })
+        })
+    }
+
     /// Peak window-average power over the run (W) and when it occurred.
     ///
     /// The paper focuses on average power but notes the tool also yields
@@ -67,24 +142,35 @@ impl PowerProfile {
     /// the peak is taken over sampling windows, so it is a lower bound on
     /// the true per-cycle peak.
     pub fn peak_power_w(&self) -> Option<(f64, f64)> {
-        self.points
-            .iter()
+        self.points()
             .map(|p| (p.window_power_w.total(), p.t_end_s))
             .max_by(|a, b| a.0.total_cmp(&b.0))
     }
 
     /// Average total power over the run (W).
     pub fn average_power_w(&self) -> f64 {
-        let total_cycles: u64 = self.points.iter().map(|p| p.cycles).sum();
+        let (total_cycles, weighted) = self.points().fold((0u64, 0.0), |(c, w), p| {
+            (c + p.cycles, w + p.window_power_w.total() * p.cycles as f64)
+        });
         if total_cycles == 0 {
             return 0.0;
         }
-        let weighted: f64 = self
-            .points
-            .iter()
-            .map(|p| p.window_power_w.total() * p.cycles as f64)
-            .sum();
         weighted / total_cycles as f64
+    }
+}
+
+/// Point by point.
+impl PartialEq for PowerProfile {
+    fn eq(&self, other: &PowerProfile) -> bool {
+        self.points().eq(other.points())
+    }
+}
+
+impl fmt::Debug for PowerProfile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PowerProfile")
+            .field("points", &self.points().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -127,12 +213,11 @@ impl ModePowerTable {
 
     /// Average power while executing in `mode`, per group (Figure 6).
     pub fn average_power_w(&self, mode: Mode) -> GroupPower {
-        let cycles = self.mode_cycles[mode.index()];
-        if cycles == 0 {
-            return GroupPower::new();
-        }
-        let secs = cycles as f64 / self.freq_hz;
-        self.mode_energy_j[mode.index()].scaled(1.0 / secs)
+        average_power_w(
+            &self.mode_energy_j[mode.index()],
+            self.mode_cycles[mode.index()],
+            self.freq_hz,
+        )
     }
 
     /// Run-wide average power, per group (the budget numerator for
@@ -160,52 +245,213 @@ impl ModePowerTable {
 /// the others), then the whole window's.
 type WindowEnergies = [GroupPower; Mode::COUNT + 1];
 
-/// The memo a power model keeps in a trace block: every work window's
-/// energies, in block order, under the model that filled it.
+/// The memo a power model keeps in a block of work windows, tagged with
+/// the model that claimed it. Each part is filled by the first call that
+/// reads it.
 struct BlockMemo {
     model: PowerModel,
-    windows: Vec<WindowEnergies>,
+    /// Read by [`PowerModel::mode_table`].
+    fold: OnceLock<BlockFold>,
+    /// Every work window's profile point, with a zero end time, in block
+    /// order; read by [`PowerModel::profile`].
+    points: OnceLock<Arc<[ProfilePoint]>>,
+}
+
+/// A block's work windows folded into per-mode energies, in block order.
+/// Every log reads each segment of its block once, in block order, and a
+/// gap window has cycles only in [`Mode::Idle`], so every mode but Idle
+/// sums the same windows in the same order in every log that reads the
+/// block. Idle also sums gap windows, so its block windows are kept one
+/// by one, to be folded in log order.
+struct BlockFold {
+    /// Each mode's energy over the block's windows; zero for Idle.
+    mode_energy_j: [GroupPower; Mode::COUNT],
+    /// The Idle energy of each window with idle cycles, with its position
+    /// in the block.
+    idle_windows: Vec<(usize, GroupPower)>,
+}
+
+/// The windows of one idle gap with their energies, or, in a profile,
+/// their average powers. A gap window has cycles only in Idle; the first
+/// carries the gap's events and the rest carry none (see
+/// [`LogRun::IdleGap`]), so each event-free window's Idle and whole-window
+/// values are one value, and every full event-free window of a gap has the
+/// same one.
+#[derive(Clone)]
+struct GapWindows {
+    /// The gap cut into windows: the first window's cycles, the number of
+    /// full windows after it, their cycles, and the shorter last window's
+    /// cycles (zero if none).
+    first_cycles: u64,
+    full_windows: u64,
+    interval: u64,
+    last_cycles: u64,
+    /// The first window's Idle and whole-window values.
+    first: [GroupPower; 2],
+    /// A full event-free window's value (zero if the gap has none).
+    full: GroupPower,
+    /// The shorter last window's value (zero if the gap has none).
+    last: GroupPower,
+}
+
+impl GapWindows {
+    /// Number of windows.
+    fn len(&self) -> usize {
+        usize::from(self.first_cycles > 0)
+            + self.full_windows as usize
+            + usize::from(self.last_cycles > 0)
+    }
+
+    /// Window `j`: its cycles, Idle value and whole-window value.
+    fn window(&self, j: usize) -> (u64, &GroupPower, &GroupPower) {
+        if j == 0 {
+            (self.first_cycles, &self.first[0], &self.first[1])
+        } else if j as u64 <= self.full_windows {
+            (self.interval, &self.full, &self.full)
+        } else {
+            (self.last_cycles, &self.last, &self.last)
+        }
+    }
+
+    /// The gap with each window's energies scaled to its average power.
+    fn into_power(self, freq_hz: f64) -> GapWindows {
+        let power = |energy: &GroupPower, cycles| average_power_w(energy, cycles, freq_hz);
+        GapWindows {
+            first: self.first.map(|energy| power(&energy, self.first_cycles)),
+            full: power(&self.full, self.interval),
+            last: power(&self.last, self.last_cycles),
+            ..self
+        }
+    }
+
+    /// Window `j` of a gap of powers as a profile point with a zero end
+    /// time.
+    fn point(&self, j: usize) -> ProfilePoint {
+        let (cycles, idle, whole) = self.window(j);
+        let mut mode_power_w = [GroupPower::new(); Mode::COUNT];
+        mode_power_w[Mode::Idle.index()] = *idle;
+        ProfilePoint {
+            t_end_s: 0.0,
+            cycles,
+            mode_cycles: idle_cycles(cycles),
+            mode_power_w,
+            window_power_w: *whole,
+        }
+    }
 }
 
 impl PowerModel {
     /// Replays a log into a time-resolved profile.
+    ///
+    /// Evaluates the model for every window of the log's block, once per
+    /// block when this model owns the block's memo (see
+    /// [`PowerModel::mode_table`]); for each idle gap, twice for its first
+    /// window and once for a shorter last one; and once per call for a
+    /// full event-free gap window. Returns a view over the windows' points
+    /// (see [`PowerProfile`]).
     pub fn profile(&self, log: &SimLog) -> PowerProfile {
-        let clocking = log.clocking();
-        let mut points = Vec::with_capacity(log.len());
-        self.for_each_window(log, true, |w, energy| {
-            let cycles = w.cycles();
-            let mut mode_power_w = [GroupPower::new(); Mode::COUNT];
-            for mode in Mode::ALL {
-                let mc = w.mode_cycles[mode.index()];
-                if mc > 0 {
-                    mode_power_w[mode.index()] = self.average_power_w(&energy[mode.index()], mc);
+        let memo = self.block_memo(log);
+        let mut filled = false;
+        let windows = match memo {
+            Some(memo) => Arc::clone(memo.points.get_or_init(|| {
+                filled = true;
+                self.block_points(log.block())
+            })),
+            None => self.block_points(log.block()),
+        };
+        count_post_call(filled, memo.is_some() && !filled);
+        let freq_hz = self.params().tech.freq_hz;
+        let mut full = None;
+        let mut gaps = Vec::new();
+        let runs = log
+            .runs()
+            .map(|run| match run {
+                LogRun::Segment {
+                    samples,
+                    offset,
+                    start_cycle,
+                } => ProfileRun::Segment {
+                    start_cycle,
+                    windows: offset..offset + samples.len(),
+                },
+                LogRun::IdleGap {
+                    start_cycle,
+                    cycles,
+                    interval,
+                    events,
+                } => {
+                    let gap = self.gap_windows(cycles, interval, events, true, &mut full);
+                    gaps.push(gap.into_power(freq_hz));
+                    ProfileRun::Gap {
+                        start_cycle,
+                        gap: gaps.len() - 1,
+                    }
                 }
-            }
-            points.push(ProfilePoint {
-                t_end_s: clocking.cycles_to_paper_secs(w.end_cycle),
-                cycles,
-                mode_cycles: w.mode_cycles,
-                mode_power_w,
-                window_power_w: self.average_power_w(&energy[Mode::COUNT], cycles),
-            });
-        });
-        PowerProfile { points }
+            })
+            .collect();
+        PowerProfile {
+            clocking: log.clocking(),
+            windows,
+            gaps,
+            runs,
+        }
     }
 
     /// Aggregates a log into the per-mode energy/power table.
+    ///
+    /// The first post-processing call on a log's block claims the block's
+    /// memo for this model. An owner reads the block's per-mode fold from
+    /// the memo (filling it on first use); any other model folds the block
+    /// afresh. Idle is then folded in log order over the block's
+    /// idle-bearing windows and each gap's windows, so a call costs
+    /// O(runs) model evaluations once the fold exists, and every float
+    /// equals a window-by-window fold in log order, bit for bit.
     pub fn mode_table(&self, log: &SimLog) -> ModePowerTable {
-        let mut mode_cycles = [0u64; Mode::COUNT];
-        let mut mode_energy_j = [GroupPower::new(); Mode::COUNT];
-        self.for_each_window(log, false, |w, energy| {
-            for mode in Mode::ALL {
-                let mc = w.mode_cycles[mode.index()];
-                if mc == 0 {
-                    continue;
-                }
-                mode_cycles[mode.index()] += mc;
-                mode_energy_j[mode.index()].merge(&energy[mode.index()]);
+        let memo = self.block_memo(log);
+        let mut filled = false;
+        let local;
+        let fold = match memo {
+            Some(memo) => memo.fold.get_or_init(|| {
+                filled = true;
+                self.fold_block(log.block())
+            }),
+            None => {
+                local = self.fold_block(log.block());
+                &local
             }
-        });
+        };
+        count_post_call(filled, memo.is_some() && !filled);
+        let mut mode_energy_j = fold.mode_energy_j;
+        let idle = &mut mode_energy_j[Mode::Idle.index()];
+        let mut idle_windows = fold.idle_windows.iter().peekable();
+        let mut full = None;
+        for run in log.runs() {
+            match run {
+                LogRun::Segment {
+                    samples, offset, ..
+                } => {
+                    let end = offset + samples.len();
+                    while let Some((_, energy)) = idle_windows.next_if(|(at, _)| *at < end) {
+                        idle.merge(energy);
+                    }
+                }
+                LogRun::IdleGap {
+                    cycles,
+                    interval,
+                    events,
+                    ..
+                } => {
+                    let gap = self.gap_windows(cycles, interval, events, false, &mut full);
+                    for j in 0..gap.len() {
+                        idle.merge(gap.window(j).1);
+                    }
+                }
+            }
+        }
+        let mut mode_cycles = [0u64; Mode::COUNT];
+        for mode in Mode::ALL {
+            mode_cycles[mode.index()] = log.mode_cycles(mode);
+        }
         ModePowerTable {
             mode_cycles,
             mode_energy_j,
@@ -213,90 +459,139 @@ impl PowerModel {
         }
     }
 
-    /// Calls `f` on every window of `log`, in order, with its energies.
-    /// Work windows read them from the block memo when this model owns
-    /// it. An idle gap's full windows after its first carry no events
-    /// ([`LogRun::IdleGap`]), so their energies are computed once per
-    /// call. Every other window computes them directly (the whole
-    /// window's entry only if `whole`).
-    fn for_each_window(
-        &self,
-        log: &SimLog,
-        whole: bool,
-        mut f: impl FnMut(&Window<'_>, &WindowEnergies),
-    ) {
-        let memo = self.block_memo(log);
-        let mut event_free: Option<WindowEnergies> = None;
-        for run in log.runs() {
-            match (run, memo) {
-                (LogRun::Segment { offset, .. }, Some(memo)) => {
-                    for (w, energy) in run.windows().zip(&memo[offset..]) {
-                        f(&w, energy);
-                    }
+    /// Folds `block`'s windows into per-mode energies (see [`BlockFold`]).
+    fn fold_block(&self, block: &Segments) -> BlockFold {
+        let mut mode_energy_j = [GroupPower::new(); Mode::COUNT];
+        let mut idle_windows = Vec::new();
+        for (at, sample) in block.samples().enumerate() {
+            let energy = self.window_energies(&sample.mode_cycles, &sample.events, false);
+            for mode in Mode::ALL {
+                let i = mode.index();
+                if sample.mode_cycles[i] == 0 {
+                    continue;
                 }
-                (LogRun::IdleGap { interval, .. }, _) => {
-                    for (j, w) in run.windows().enumerate() {
-                        if j > 0 && w.cycles() == interval {
-                            let energy =
-                                event_free.get_or_insert_with(|| self.window_energies(&w, whole));
-                            f(&w, energy);
-                        } else {
-                            f(&w, &self.window_energies(&w, whole));
-                        }
-                    }
-                }
-                (run, _) => {
-                    for w in run.windows() {
-                        f(&w, &self.window_energies(&w, whole));
-                    }
+                if mode == Mode::Idle {
+                    idle_windows.push((at, energy[i]));
+                } else {
+                    mode_energy_j[i].merge(&energy[i]);
                 }
             }
+        }
+        BlockFold {
+            mode_energy_j,
+            idle_windows,
         }
     }
 
-    /// One window's energies, the whole window's only if `whole`.
-    fn window_energies(&self, w: &Window<'_>, whole: bool) -> WindowEnergies {
+    /// The point of every window of `block`, in block order, each with a
+    /// zero end time.
+    fn block_points(&self, block: &Segments) -> Arc<[ProfilePoint]> {
+        let freq_hz = self.params().tech.freq_hz;
+        block
+            .samples()
+            .map(|s| {
+                let energy = self.window_energies(&s.mode_cycles, &s.events, true);
+                let cycles = s.cycles();
+                ProfilePoint {
+                    t_end_s: 0.0,
+                    cycles,
+                    mode_cycles: s.mode_cycles,
+                    mode_power_w: Mode::ALL.map(|mode| {
+                        let i = mode.index();
+                        average_power_w(&energy[i], s.mode_cycles[i], freq_hz)
+                    }),
+                    window_power_w: average_power_w(&energy[Mode::COUNT], cycles, freq_hz),
+                }
+            })
+            .collect()
+    }
+
+    /// The windows of an idle gap of `cycles` cycles whose first window
+    /// carries `events`, with their energies: the first window's
+    /// whole-window energy only if `whole`, and a full window's from
+    /// `full`, which keeps it for the rest of the call.
+    fn gap_windows(
+        &self,
+        cycles: u64,
+        interval: u64,
+        events: &ModeCounters,
+        whole: bool,
+        full: &mut Option<GroupPower>,
+    ) -> GapWindows {
+        let first_cycles = cycles.min(interval);
+        let full_windows = (cycles - first_cycles) / interval;
+        let last_cycles = (cycles - first_cycles) % interval;
+        let first = self.window_energies(&idle_cycles(first_cycles), events, whole);
+        let event_free = |cycles| self.window_energy_j(&CounterSet::new(), cycles);
+        GapWindows {
+            first_cycles,
+            full_windows,
+            interval,
+            last_cycles,
+            first: [first[Mode::Idle.index()], first[Mode::COUNT]],
+            full: if full_windows > 0 {
+                *full.get_or_insert_with(|| event_free(interval))
+            } else {
+                GroupPower::new()
+            },
+            last: if last_cycles > 0 {
+                event_free(last_cycles)
+            } else {
+                GroupPower::new()
+            },
+        }
+    }
+
+    /// The energies of a window with `mode_cycles` and `events`, the
+    /// whole window's only if `whole`.
+    fn window_energies(
+        &self,
+        mode_cycles: &[u64; Mode::COUNT],
+        events: &ModeCounters,
+        whole: bool,
+    ) -> WindowEnergies {
         let mut out = [GroupPower::new(); Mode::COUNT + 1];
         for mode in Mode::ALL {
-            let mc = w.mode_cycles[mode.index()];
+            let mc = mode_cycles[mode.index()];
             if mc > 0 {
-                out[mode.index()] = self.window_energy_j(w.events.mode(mode), mc);
+                out[mode.index()] = self.window_energy_j(events.mode(mode), mc);
             }
         }
         if whole {
-            out[Mode::COUNT] = self.window_energy_j(&w.events.combined(), w.cycles());
+            out[Mode::COUNT] = self.window_energy_j(&events.combined(), mode_cycles.iter().sum());
         }
         out
     }
 
-    /// The energies of `log`'s work windows, in block order, if this model
-    /// owns the block's memo. The first call on a block fills the memo and
-    /// so owns it; a call with any other model gets `None` and caches
-    /// nothing. Counts the call once, at this boundary.
-    fn block_memo<'a>(&self, log: &'a SimLog) -> Option<&'a [WindowEnergies]> {
-        let block = log.block();
-        let mut filled = false;
-        let memo = block.memo().get_or_init(|| {
-            filled = true;
-            let windows = block
-                .samples()
-                .map(|s| self.window_energies(&s.window(), true))
-                .collect();
-            Box::new(BlockMemo {
-                model: self.clone(),
-                windows,
+    /// The memo of `log`'s block, if this model owns it. The first call on
+    /// a block claims the memo and so owns it; a call with any other model
+    /// gets `None` and caches nothing.
+    fn block_memo<'a>(&self, log: &'a SimLog) -> Option<&'a BlockMemo> {
+        log.block()
+            .memo()
+            .get_or_init(|| {
+                Box::new(BlockMemo {
+                    model: self.clone(),
+                    fold: OnceLock::new(),
+                    points: OnceLock::new(),
+                })
             })
-        });
-        let owned = memo
             .downcast_ref::<BlockMemo>()
-            .filter(|memo| memo.model == *self);
-        count_post_call(filled, owned.is_some() && !filled);
-        owned.map(|memo| &memo.windows[..])
+            .filter(|memo| memo.model == *self)
     }
 }
 
-/// Counts one `mode_table`/`profile` call, and whether it filled a block
-/// memo or was served from one: one flag check per call, never per window.
+/// Cycles of a window spent only in Idle.
+fn idle_cycles(cycles: u64) -> [u64; Mode::COUNT] {
+    let mut mode_cycles = [0; Mode::COUNT];
+    mode_cycles[Mode::Idle.index()] = cycles;
+    mode_cycles
+}
+
+/// Counts one `mode_table`/`profile` call, and whether it computed the
+/// part of its block's memo it reads (`filled`) or found it there
+/// (`served`); a call by a model that does not own the memo is neither.
+/// One flag check per call, never per window.
 fn count_post_call(filled: bool, served: bool) {
     if softwatt_obs::enabled() {
         use softwatt_obs::registry::counter;
@@ -336,7 +631,8 @@ mod tests {
         let model = PowerModel::new(&PowerParams::default());
         let log = two_phase_log();
         let profile = model.profile(&log);
-        assert_eq!(profile.points.len(), log.windows().count());
+        assert_eq!(profile.len(), log.windows().count());
+        assert_eq!(profile.points().count(), profile.len());
         assert!(profile.average_power_w() > 0.0);
     }
 
@@ -344,8 +640,8 @@ mod tests {
     fn busy_windows_burn_more_than_idle_windows() {
         let model = PowerModel::new(&PowerParams::default());
         let profile = model.profile(&two_phase_log());
-        let busy = profile.points.first().unwrap().window_power_w.total();
-        let idle = profile.points.last().unwrap().window_power_w.total();
+        let busy = profile.points().next().unwrap().window_power_w.total();
+        let idle = profile.points().last().unwrap().window_power_w.total();
         assert!(busy > idle, "busy {busy} vs idle {idle}");
         // ...but idle is NOT free: busy-waiting keeps clock + L1I going,
         // the paper's point about the IRIX idle loop.
@@ -392,7 +688,7 @@ mod tests {
     fn mode_contribution_stacks_to_window_power() {
         let model = PowerModel::new(&PowerParams::default());
         let profile = model.profile(&two_phase_log());
-        for p in &profile.points {
+        for p in profile.points() {
             let stacked: f64 = Mode::ALL.iter().map(|&m| p.mode_contribution_w(m)).sum();
             assert!(
                 (stacked - p.window_power_w.total()).abs() < 0.15 * p.window_power_w.total(),
@@ -409,7 +705,7 @@ mod tests {
         let (peak_w, at_s) = profile.peak_power_w().expect("non-empty profile");
         assert!(peak_w >= profile.average_power_w());
         // The busy (user) phase is the first half of the log.
-        let end = profile.points.last().unwrap().t_end_s;
+        let end = profile.points().last().unwrap().t_end_s;
         assert!(at_s <= end / 2.0 + 1e-9, "peak at {at_s} of {end}");
     }
 
@@ -419,6 +715,87 @@ mod tests {
         let table = model.mode_table(&two_phase_log());
         let secs = table.total_cycles() as f64 / table.freq_hz;
         assert!((table.energy_delay_product() - table.total_energy_j() * secs).abs() < 1e-12);
+    }
+
+    /// A log with gaps, an idle-bearing work window and a trailing
+    /// partial window.
+    fn gapped_log() -> SimLog {
+        let mut stats = StatsCollector::new(Clocking::full_speed(200.0e6), 1000);
+        let rates = [(UnitEvent::IcacheAccess, 0.7), (UnitEvent::AluOp, 0.1)];
+        let idle = softwatt_stats::ServiceId(9);
+        stats.set_mode(Mode::User);
+        stats.record_n(UnitEvent::AluOp, 3000);
+        stats.tick_n(2500);
+        stats.skip_idle_gap(3700, &rates, idle);
+        stats.set_mode(Mode::Idle);
+        stats.record_n(UnitEvent::IcacheAccess, 900);
+        stats.tick_n(1200);
+        stats.set_mode(Mode::KernelInstr);
+        stats.record_n(UnitEvent::DcacheRead, 40);
+        stats.tick_n(300);
+        stats.skip_idle_gap(2000, &rates, idle);
+        stats.set_mode(Mode::User);
+        stats.tick_n(450);
+        stats.finish()
+    }
+
+    /// Every mode x group energy of a table, and its cycles, as bits.
+    fn table_bits(table: &ModePowerTable) -> Vec<u64> {
+        let mut bits = table.mode_cycles.to_vec();
+        for energy in &table.mode_energy_j {
+            bits.extend(UnitGroup::ALL.map(|g| energy.get(g).to_bits()));
+        }
+        bits
+    }
+
+    fn memo_of(log: &SimLog) -> &BlockMemo {
+        log.block()
+            .memo()
+            .get()
+            .and_then(|memo| memo.downcast_ref::<BlockMemo>())
+            .expect("a post-processing call claims the memo")
+    }
+
+    /// The per-window energies a profile reads are filled by the first
+    /// `profile` call, not by `mode_table`, and neither call order nor a
+    /// second model changes a bit of either result.
+    #[test]
+    fn mode_table_fills_no_window_data_and_call_order_is_immaterial() {
+        let paper = PowerModel::new(&PowerParams::default());
+        let cc1 = PowerModel::new(&PowerParams {
+            gating: crate::ClockGating::AlwaysOn,
+            ..PowerParams::default()
+        });
+        let log = gapped_log();
+        let table = paper.mode_table(&log);
+        let memo = memo_of(&log);
+        assert!(memo.fold.get().is_some());
+        assert!(
+            memo.points.get().is_none(),
+            "mode_table alone fills no window data"
+        );
+        let profile = paper.profile(&log);
+        assert!(memo_of(&log).points.get().is_some());
+
+        let fresh = gapped_log();
+        let profile_first = paper.profile(&fresh);
+        assert!(
+            memo_of(&fresh).fold.get().is_none(),
+            "profile alone folds nothing"
+        );
+        assert_eq!(table_bits(&paper.mode_table(&fresh)), table_bits(&table));
+        assert!(profile_first == profile);
+        assert_eq!(format!("{profile_first:?}"), format!("{profile:?}"));
+
+        // CC1 owns neither memo: both orders compute directly, and agree.
+        let cc1_profile = cc1.profile(&log);
+        let cc1_table = cc1.mode_table(&log);
+        assert_eq!(table_bits(&cc1.mode_table(&fresh)), table_bits(&cc1_table));
+        assert!(cc1.profile(&fresh) == cc1_profile);
+        assert!(
+            cc1_profile != profile,
+            "a different model gives a different profile"
+        );
     }
 
     #[test]

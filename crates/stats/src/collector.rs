@@ -369,7 +369,7 @@ impl StatsCollector {
     /// Closes the open segment: its samples become the next segment of
     /// the log's block.
     fn close_segment(&mut self) {
-        self.parts.push(Part::Segment(self.segments.len()));
+        self.parts.push(Part::Segment);
         self.segments.push(std::mem::take(&mut self.samples));
     }
 

@@ -199,8 +199,10 @@ impl<'a> Iterator for RunWindows<'a> {
 /// to end from cycle 0.
 #[derive(Debug, Clone)]
 pub(crate) enum Part {
-    /// Segment `index` of the log's block.
-    Segment(usize),
+    /// The next segment of the log's block: the k-th `Segment` part reads
+    /// segment k, so a log reads every segment of its block once, in
+    /// block order.
+    Segment,
     /// An analytic idle gap of `cycles` cycles whose first window carries
     /// `events`.
     IdleGap {
@@ -233,19 +235,33 @@ pub(crate) enum Part {
 pub struct SimLog {
     clocking: crate::Clocking,
     sample_interval: u64,
-    // The block every `Part::Segment` indexes into.
+    // The block the `Part::Segment` runs read, one run per segment.
     block: Segments,
     parts: Vec<Part>,
 }
 
 impl SimLog {
     /// The log whose runs are `parts`, reading segments from `block`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parts` holds one `Segment` part per segment of
+    /// `block`.
     pub(crate) fn new(
         clocking: crate::Clocking,
         sample_interval: u64,
         block: Segments,
         parts: Vec<Part>,
     ) -> SimLog {
+        let segment_runs = parts
+            .iter()
+            .filter(|part| matches!(part, Part::Segment))
+            .count();
+        assert_eq!(
+            segment_runs,
+            block.len(),
+            "a log reads every segment of its block once"
+        );
         SimLog {
             clocking,
             sample_interval,
@@ -267,13 +283,11 @@ impl SimLog {
 
     /// Number of windows.
     pub fn len(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|part| match part {
-                Part::Segment(index) => self.block.get(*index).len(),
-                Part::IdleGap { cycles, .. } => cycles.div_ceil(self.sample_interval) as usize,
-            })
-            .sum()
+        let gap_windows: usize = self
+            .gaps()
+            .map(|cycles| cycles.div_ceil(self.sample_interval) as usize)
+            .sum();
+        self.block.sample_count() + gap_windows
     }
 
     /// Whether the log has no windows.
@@ -281,22 +295,35 @@ impl SimLog {
         self.len() == 0
     }
 
-    /// The block of work windows this log's segment runs read.
+    /// The block of work windows this log's segment runs read: the k-th
+    /// segment run reads segment k, so every log reads each segment of its
+    /// block once, in block order.
     pub fn block(&self) -> &Segments {
         &self.block
+    }
+
+    /// The lengths of the log's idle gaps, in order.
+    fn gaps(&self) -> impl Iterator<Item = u64> + '_ {
+        self.parts.iter().filter_map(|part| match part {
+            Part::Segment => None,
+            Part::IdleGap { cycles, .. } => Some(*cycles),
+        })
     }
 
     /// The log's runs in cycle order.
     pub fn runs(&self) -> impl Iterator<Item = LogRun<'_>> + '_ {
         let mut cycle = 0u64;
+        let mut segment = 0;
         self.parts.iter().map(move |part| {
             let start_cycle = cycle;
             match part {
-                Part::Segment(index) => {
-                    cycle += self.block.segment_cycles(*index);
+                Part::Segment => {
+                    let index = segment;
+                    segment += 1;
+                    cycle += self.block.segment_cycles(index);
                     LogRun::Segment {
-                        samples: self.block.get(*index),
-                        offset: self.block.offset(*index),
+                        samples: self.block.get(index),
+                        offset: self.block.offset(index),
                         start_cycle,
                     }
                 }
@@ -320,18 +347,19 @@ impl SimLog {
 
     /// Total simulated cycles across all windows.
     pub fn total_cycles(&self) -> u64 {
-        self.parts
-            .iter()
-            .map(|part| match part {
-                Part::Segment(index) => self.block.segment_cycles(*index),
-                Part::IdleGap { cycles, .. } => *cycles,
-            })
-            .sum()
+        let work = self.block.cycles().expect("cycle total fits u64");
+        work + self.gaps().sum::<u64>()
     }
 
-    /// Total cycles attributed to `mode`.
+    /// Total cycles attributed to `mode`: the block's, plus every idle
+    /// gap's for [`Mode::Idle`].
     pub fn mode_cycles(&self, mode: Mode) -> u64 {
-        self.windows().map(|w| w.mode_cycles[mode.index()]).sum()
+        let gaps = if mode == Mode::Idle {
+            self.gaps().sum()
+        } else {
+            0
+        };
+        self.block.mode_cycles(mode) + gaps
     }
 
     /// Writes the log as CSV — the on-disk "simulation log file" of the
@@ -457,12 +485,7 @@ impl SimLog {
             });
         }
         let block = Segments::new(vec![samples]);
-        Ok(SimLog::new(
-            clocking,
-            interval,
-            block,
-            vec![Part::Segment(0)],
-        ))
+        Ok(SimLog::new(clocking, interval, block, vec![Part::Segment]))
     }
 
     /// Sums event counters over the whole run, per mode.
@@ -514,7 +537,7 @@ mod tests {
     /// A one-segment log of `samples`.
     fn log_of(clocking: Clocking, interval: u64, samples: Vec<Sample>) -> SimLog {
         let block = Segments::new(vec![samples]);
-        SimLog::new(clocking, interval, block, vec![Part::Segment(0)])
+        SimLog::new(clocking, interval, block, vec![Part::Segment])
     }
 
     fn read_csv(csv: &[u8]) -> io::Result<SimLog> {
@@ -578,6 +601,43 @@ mod tests {
         let err = read_csv(edited.as_bytes()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("running cycle total"), "{err}");
+    }
+
+    /// The k-th segment run reads segment k, so a log has one segment run
+    /// per segment of its block.
+    #[test]
+    #[should_panic(expected = "a log reads every segment of its block once")]
+    fn a_log_reads_every_segment_of_its_block() {
+        let block = Segments::new(vec![vec![sample(100, 100, 1)], vec![sample(100, 100, 2)]]);
+        SimLog::new(Clocking::default(), 100, block, vec![Part::Segment]);
+    }
+
+    /// Per-mode cycles come from the block's totals plus the gaps' cycles,
+    /// and equal a walk over every window.
+    #[test]
+    fn mode_cycles_equal_a_window_walk() {
+        let mut idle = sample(0, 30, 0);
+        idle.mode_cycles[Mode::Idle.index()] = 70;
+        let mut kernel = sample(0, 0, 5);
+        kernel.mode_cycles[Mode::KernelInstr.index()] = 40;
+        let block = Segments::new(vec![vec![sample(100, 100, 4), idle], vec![kernel]]);
+        let gap = Part::IdleGap {
+            cycles: 250,
+            events: Box::new(ModeCounters::new()),
+        };
+        let log = SimLog::new(
+            Clocking::default(),
+            100,
+            block,
+            vec![Part::Segment, gap, Part::Segment],
+        );
+        for mode in Mode::ALL {
+            let walked: u64 = log.windows().map(|w| w.mode_cycles[mode.index()]).sum();
+            assert_eq!(log.mode_cycles(mode), walked, "{mode}");
+        }
+        assert_eq!(log.mode_cycles(Mode::Idle), 320);
+        assert_eq!(log.total_cycles(), 490);
+        assert_eq!(log.len(), 6);
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl PerfTrace {
         let mut idle_residual = [0.0f64; UnitEvent::COUNT];
         let mut idle_agg = ServiceAggregate::empty();
         for i in 0..self.segments.len() {
-            parts.push(Part::Segment(i));
+            parts.push(Part::Segment);
             let Some(&gap) = gaps.get(i) else { continue };
             if gap == 0 {
                 continue;

@@ -5,9 +5,10 @@
 //! log hands its block to the [`crate::PerfTrace`] it captures, and every
 //! log replayed from the trace refers to the block's segments in place
 //! instead of copying them, so a replay costs O(segments + gaps) however
-//! many samples the trace holds. The segment offsets and cycle totals are
-//! computed once, when the block is built, which keeps
-//! [`crate::PerfTrace::validate`] O(requests).
+//! many samples the trace holds. The segment offsets and the cycle totals,
+//! per segment and per mode, are computed once, when the block is built,
+//! which keeps [`crate::PerfTrace::validate`] O(requests) and a log's
+//! per-mode cycle count O(runs).
 //!
 //! Each segment keeps its own sample vector rather than one flat vector
 //! for the whole trace: a decoder fills vectors of a segment's size, which
@@ -23,7 +24,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::Sample;
+use crate::{Mode, Sample};
 
 /// The type-erased, write-once memo slot of a [`Segments`] block.
 pub type MemoSlot = OnceLock<Box<dyn Any + Send + Sync>>;
@@ -54,18 +55,26 @@ struct Block {
     segments: Vec<Vec<Sample>>,
     /// `offsets[i]` counts the samples of the segments before `i`.
     offsets: Vec<usize>,
-    /// Work cycles up to the end of each segment (cumulative); `None`
-    /// when a sum overflows `u64`.
-    cycle_ends: Option<Vec<u64>>,
+    /// The block's cycle totals; `None` when a sum overflows `u64`.
+    totals: Option<Totals>,
     has_empty_sample: bool,
     memo: MemoSlot,
+}
+
+struct Totals {
+    /// Work cycles up to the end of each segment (cumulative).
+    cycle_ends: Vec<u64>,
+    /// Cycles per mode over the whole block.
+    mode_cycles: [u64; Mode::COUNT],
 }
 
 impl Segments {
     /// Builds the block from one sample vector per segment.
     pub fn new(segments: Vec<Vec<Sample>>) -> Segments {
         let mut offsets = Vec::with_capacity(segments.len());
-        let mut cycle_ends = Some(Vec::with_capacity(segments.len()));
+        let mut cycle_ends = Vec::with_capacity(segments.len());
+        let mut mode_cycles = [0u64; Mode::COUNT];
+        let mut overflowed = false;
         let mut has_empty_sample = false;
         let mut offset = 0;
         let mut total = 0u64;
@@ -79,18 +88,26 @@ impl Segments {
                     .try_fold(0u64, |sum, &c| sum.checked_add(c));
                 has_empty_sample |= cycles == Some(0);
                 match cycles.and_then(|c| total.checked_add(c)) {
-                    Some(t) => total = t,
-                    None => cycle_ends = None,
+                    Some(t) => {
+                        total = t;
+                        // Each mode's sum is at most `total`, so it fits.
+                        for (sum, c) in mode_cycles.iter_mut().zip(&s.mode_cycles) {
+                            *sum += c;
+                        }
+                    }
+                    None => overflowed = true,
                 }
             }
-            if let Some(ends) = &mut cycle_ends {
-                ends.push(total);
-            }
+            cycle_ends.push(total);
         }
+        let totals = (!overflowed).then_some(Totals {
+            cycle_ends,
+            mode_cycles,
+        });
         Segments(Arc::new(Block {
             segments,
             offsets,
-            cycle_ends,
+            totals,
             has_empty_sample,
             memo: OnceLock::new(),
         }))
@@ -130,21 +147,47 @@ impl Segments {
         self.0.offsets[i]
     }
 
+    /// Number of samples over all segments.
+    pub(crate) fn sample_count(&self) -> usize {
+        match (self.0.offsets.last(), self.0.segments.last()) {
+            (Some(offset), Some(last)) => offset + last.len(),
+            _ => 0,
+        }
+    }
+
     /// Total cycles over all samples, or `None` if the sum overflows.
     pub(crate) fn cycles(&self) -> Option<u64> {
-        let ends = self.0.cycle_ends.as_ref()?;
-        Some(ends.last().copied().unwrap_or(0))
+        let totals = self.0.totals.as_ref()?;
+        Some(totals.cycle_ends.last().copied().unwrap_or(0))
+    }
+
+    /// The cycle totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle total overflows (which
+    /// [`crate::PerfTrace::validate`] rejects).
+    fn totals(&self) -> &Totals {
+        self.0.totals.as_ref().expect("cycle total fits u64")
     }
 
     /// Cycles covered by segment `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()` or the cycle total overflows (which
-    /// [`crate::PerfTrace::validate`] rejects).
+    /// Panics if `i >= self.len()` or the cycle total overflows.
     pub(crate) fn segment_cycles(&self, i: usize) -> u64 {
-        let ends = self.0.cycle_ends.as_ref().expect("cycle total fits u64");
+        let ends = &self.totals().cycle_ends;
         ends[i] - if i == 0 { 0 } else { ends[i - 1] }
+    }
+
+    /// Cycles attributed to `mode` over all samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle total overflows.
+    pub(crate) fn mode_cycles(&self, mode: Mode) -> u64 {
+        self.totals().mode_cycles[mode.index()]
     }
 
     /// Whether some sample covers zero cycles (the collector never emits

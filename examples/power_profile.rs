@@ -30,7 +30,7 @@ fn main() -> Result<(), String> {
          mem_w_user,mem_w_kernel,mem_w_sync,mem_w_idle,\
          proc_w_user,proc_w_kernel,proc_w_sync,proc_w_idle"
     );
-    for p in &profile.points {
+    for p in profile.points() {
         let share = |i: usize| 100.0 * p.mode_cycles[i] as f64 / p.cycles.max(1) as f64;
         let mem = |i: usize| {
             p.mode_power_w[i].memory_subsystem() * p.mode_cycles[i] as f64 / p.cycles.max(1) as f64
@@ -59,7 +59,7 @@ fn main() -> Result<(), String> {
     eprintln!(
         "{} profile: {} windows, run average {:.2} W",
         benchmark,
-        profile.points.len(),
+        profile.len(),
         profile.average_power_w()
     );
     Ok(())

@@ -60,8 +60,7 @@ fn power_pipeline_produces_plausible_watts() {
     let profile = model.profile(&run.log);
     let table = model.mode_table(&run.log);
     let profile_energy: f64 = profile
-        .points
-        .iter()
+        .points()
         .map(|p| p.window_power_w.total() * p.cycles as f64 / cfg.freq_hz)
         .sum();
     let rel = (profile_energy - table.total_energy_j()).abs() / table.total_energy_j();
