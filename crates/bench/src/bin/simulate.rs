@@ -263,8 +263,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             let input = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
             let reader = softwatt_isa::TraceReader::new(BufReader::new(input))
                 .map_err(|e| format!("cannot read trace {path}: {e}"))?;
+            let status = reader.status();
             eprintln!("replaying user trace from {path}");
-            bundle(sim.run_source(&spec, Box::new(reader)))
+            let run = sim.run_source(&spec, Box::new(reader));
+            if let Some(e) = status.error() {
+                return Err(format!("corrupt trace {path}: {e}"));
+            }
+            bundle(run)
         }
         (None, None) => run(*workload),
     };

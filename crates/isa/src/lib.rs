@@ -47,4 +47,4 @@ pub use op::{FuKind, OpClass};
 pub use reg::Reg;
 pub use stream::{InstrSource, VecSource};
 pub use syscall::{FileRef, SyscallKind};
-pub use trace::{Recording, TraceReader, TraceWriter};
+pub use trace::{Recording, TraceReader, TraceStatus, TraceWriter};

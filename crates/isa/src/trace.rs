@@ -7,9 +7,13 @@
 //! apples-to-apples machine comparisons).
 //!
 //! The format is a compact little-endian binary: a magic header, then one
-//! variable-length record per instruction.
+//! variable-length record per instruction. A trace ends at a record
+//! boundary; a trace that ends inside a record, or holds a record that
+//! does not decode, is corrupt, and its reader says so (see
+//! [`TraceReader::status`]).
 
 use std::io::{self, Read, Write};
+use std::sync::{Arc, OnceLock};
 
 use softwatt_stats::StatsCollector;
 
@@ -186,10 +190,31 @@ impl<W: Write> TraceWriter<W> {
 }
 
 /// Replays a binary trace as an [`InstrSource`].
+///
+/// The end of the file at a record boundary is the program's exit. Any
+/// other failure (a record cut short, a field that does not decode, an
+/// I/O error) also ends the stream, since an [`InstrSource`] cannot fail,
+/// but the reader keeps the error, with the index of the record it hit,
+/// where [`TraceReader::status`] reports it.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     input: R,
+    records: u64,
     done: bool,
+    status: TraceStatus,
+}
+
+/// Whether a [`TraceReader`] stopped on an error: a handle that stays
+/// valid after the reader is handed to a machine.
+#[derive(Debug, Clone, Default)]
+pub struct TraceStatus(Arc<OnceLock<io::Error>>);
+
+impl TraceStatus {
+    /// The error that ended the trace, if it did not end cleanly at a
+    /// record boundary. Its message names the record's index.
+    pub fn error(&self) -> Option<&io::Error> {
+        self.0.get()
+    }
 }
 
 impl<R: Read> TraceReader<R> {
@@ -207,16 +232,32 @@ impl<R: Read> TraceReader<R> {
                 "not a softwatt trace",
             ));
         }
-        Ok(TraceReader { input, done: false })
+        Ok(TraceReader {
+            input,
+            records: 0,
+            done: false,
+            status: TraceStatus::default(),
+        })
     }
 
+    /// A handle on how the trace ended, to check after the run.
+    pub fn status(&self) -> TraceStatus {
+        self.status.clone()
+    }
+
+    /// The next record, or `None` at the end of the file if it falls
+    /// between records.
     fn read_instr(&mut self) -> io::Result<Option<Instr>> {
         let mut head = [0u8; 5];
-        match self.input.read_exact(&mut head) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
+        loop {
+            match self.input.read(&mut head[..1]) {
+                Ok(0) => return Ok(None),
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
+        self.input.read_exact(&mut head[1..])?;
         let op = op_from(head[0])?;
         let flags = head[1];
         let mut u64_buf = [0u8; 8];
@@ -272,15 +313,24 @@ impl<R: Read> InstrSource for TraceReader<R> {
             return None;
         }
         match self.read_instr() {
-            Ok(Some(i)) => Some(i),
+            Ok(Some(i)) => {
+                self.records += 1;
+                Some(i)
+            }
             Ok(None) => {
                 self.done = true;
                 None
             }
-            Err(_) => {
-                // A truncated/corrupt tail ends the trace; the machine
-                // treats it as program exit.
+            Err(e) => {
+                // The machine sees the end of the program; the status
+                // keeps why.
                 self.done = true;
+                let cause = match e.kind() {
+                    io::ErrorKind::UnexpectedEof => "the trace ends inside it".to_string(),
+                    _ => e.to_string(),
+                };
+                let error = io::Error::new(e.kind(), format!("record {}: {cause}", self.records));
+                let _ = self.status.0.set(error);
                 None
             }
         }
@@ -403,24 +453,64 @@ mod tests {
         assert!(TraceReader::new(&b"NOTATRACE"[..]).is_err());
     }
 
-    #[test]
-    fn truncated_trace_ends_cleanly() {
+    fn encoded(instrs: &[Instr]) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = TraceWriter::new(&mut buf).unwrap();
-        for i in sample_instrs() {
-            w.record(&i).unwrap();
+        for i in instrs {
+            w.record(i).unwrap();
         }
-        buf.truncate(buf.len() - 3); // chop mid-record
+        buf
+    }
+
+    /// Reads `buf` to its end: the records read and how the trace ended.
+    fn read_all(buf: &[u8]) -> (usize, TraceStatus) {
         let mut stats = StatsCollector::new(Clocking::default(), 100);
-        let mut r = TraceReader::new(&buf[..]).unwrap();
+        let mut r = TraceReader::new(buf).unwrap();
+        let status = r.status();
         let mut n = 0;
         while r.next_instr(&mut stats).is_some() {
             n += 1;
         }
-        assert_eq!(
-            n,
-            sample_instrs().len() - 1,
-            "the torn final record is dropped"
+        assert!(
+            r.next_instr(&mut stats).is_none(),
+            "an ended trace stays ended"
         );
+        (n, status)
+    }
+
+    #[test]
+    fn a_trace_ending_at_a_record_boundary_ends_cleanly() {
+        let (n, status) = read_all(&encoded(&sample_instrs()));
+        assert_eq!(n, sample_instrs().len());
+        assert!(status.error().is_none());
+        let (n, status) = read_all(&encoded(&[]));
+        assert_eq!(n, 0);
+        assert!(status.error().is_none(), "an empty trace is a clean exit");
+    }
+
+    /// A record cut short is a corrupt trace, not the program's exit: the
+    /// stream stops before it and the status names it.
+    #[test]
+    fn a_torn_record_ends_the_trace_with_its_error() {
+        let full = encoded(&sample_instrs());
+        for cut in [1, 3, 12] {
+            let (n, status) = read_all(&full[..full.len() - cut]);
+            assert_eq!(n, sample_instrs().len() - 1, "cut {cut}");
+            let err = status.error().expect("a torn record is an error");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+            let last = sample_instrs().len() - 1;
+            assert!(err.to_string().contains(&format!("record {last}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_undecodable_record_ends_the_trace_with_its_error() {
+        let mut buf = encoded(&sample_instrs());
+        buf[MAGIC.len()] = 0xee; // the first record's opcode
+        let (n, status) = read_all(&buf);
+        assert_eq!(n, 0);
+        let err = status.error().expect("a bad opcode is an error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("record 0"), "{err}");
     }
 }

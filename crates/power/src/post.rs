@@ -17,21 +17,27 @@
 //!   its end time, which the returned [`PowerProfile`] shares instead of
 //!   copying.
 //!
-//! An idle-gap run evaluates its first and last windows and one full
-//! event-free window per call. Every energy is `window_energy_j` of the
-//! same counts and cycles, every power is that energy scaled by the same
-//! cycles, and every sum adds the same terms in the same order as a
-//! window-by-window fold in log order, so every result is bit-identical to
-//! computing each window directly.
+//! A log's idle gaps are evaluated once per log, the same way: the first
+//! call on a log with gaps claims the log's own memo slot and keeps every
+//! gap's window energies there, which both calls read. A gap's first and
+//! shorter last windows are evaluated once each, a full event-free window
+//! once per log. A window whose cycles and events lie in one mode takes
+//! that mode's energy as its whole-window energy instead of evaluating it
+//! again. Every energy is `window_energy_j` of the same counts and cycles,
+//! every power is that energy scaled by the same cycles, and every sum
+//! adds the same terms in the same order as a window-by-window fold in log
+//! order, so every result is bit-identical to computing each window
+//! directly.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use softwatt_stats::{Clocking, CounterSet, LogRun, Mode, ModeCounters, Segments, SimLog};
+use softwatt_stats::{Clocking, CounterSet, LogRun, Mode, ModeRows, Segments, SimLog};
 
 use crate::group::GroupPower;
-use crate::model::{average_power_w, PowerModel};
+use crate::model::{average_power_w, PowerModel, PowerParams};
 
 /// One point of a time-resolved power/execution profile (Figures 3 and 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -246,10 +252,10 @@ impl ModePowerTable {
 type WindowEnergies = [GroupPower; Mode::COUNT + 1];
 
 /// The memo a power model keeps in a block of work windows, tagged with
-/// the model that claimed it. Each part is filled by the first call that
-/// reads it.
+/// the parameters of the model that claimed it (a model is a function of
+/// its parameters). Each part is filled by the first call that reads it.
 struct BlockMemo {
-    model: PowerModel,
+    params: PowerParams,
     /// Read by [`PowerModel::mode_table`].
     fold: OnceLock<BlockFold>,
     /// Every work window's profile point, with a zero end time, in block
@@ -271,8 +277,8 @@ struct BlockFold {
     idle_windows: Vec<(usize, GroupPower)>,
 }
 
-/// The windows of one idle gap with their energies, or, in a profile,
-/// their average powers. A gap window has cycles only in Idle; the first
+/// The windows of one idle gap with their energies (in a log's gap memo)
+/// or, in a profile, their average powers. A gap window has cycles only in Idle; the first
 /// carries the gap's events and the rest carry none (see
 /// [`LogRun::IdleGap`]), so each event-free window's Idle and whole-window
 /// values are one value, and every full event-free window of a gap has the
@@ -345,10 +351,11 @@ impl PowerModel {
     ///
     /// Evaluates the model for every window of the log's block, once per
     /// block when this model owns the block's memo (see
-    /// [`PowerModel::mode_table`]); for each idle gap, twice for its first
-    /// window and once for a shorter last one; and once per call for a
-    /// full event-free gap window. Returns a view over the windows' points
-    /// (see [`PowerProfile`]).
+    /// [`PowerModel::mode_table`]), and for the windows of the log's idle
+    /// gaps, once per log when this model owns the log's gap memo: a gap's
+    /// first window and shorter last window once each, a full event-free
+    /// window once per log. Returns a view over the windows' points (see
+    /// [`PowerProfile`]).
     pub fn profile(&self, log: &SimLog) -> PowerProfile {
         let memo = self.block_memo(log);
         let mut filled = false;
@@ -359,10 +366,14 @@ impl PowerModel {
             })),
             None => self.block_points(log.block()),
         };
-        count_post_call(filled, memo.is_some() && !filled);
+        let (gap_energies, gap_memo) = self.gap_energies(log);
+        count_post_call([memo.map(|_| filled), gap_memo]);
         let freq_hz = self.params().tech.freq_hz;
-        let mut full = None;
-        let mut gaps = Vec::new();
+        let gaps = gap_energies
+            .iter()
+            .map(|gap| gap.clone().into_power(freq_hz))
+            .collect();
+        let mut gap = 0;
         let runs = log
             .runs()
             .map(|run| match run {
@@ -374,17 +385,11 @@ impl PowerModel {
                     start_cycle,
                     windows: offset..offset + samples.len(),
                 },
-                LogRun::IdleGap {
-                    start_cycle,
-                    cycles,
-                    interval,
-                    events,
-                } => {
-                    let gap = self.gap_windows(cycles, interval, events, true, &mut full);
-                    gaps.push(gap.into_power(freq_hz));
+                LogRun::IdleGap { start_cycle, .. } => {
+                    gap += 1;
                     ProfileRun::Gap {
                         start_cycle,
-                        gap: gaps.len() - 1,
+                        gap: gap - 1,
                     }
                 }
             })
@@ -400,12 +405,14 @@ impl PowerModel {
     /// Aggregates a log into the per-mode energy/power table.
     ///
     /// The first post-processing call on a log's block claims the block's
-    /// memo for this model. An owner reads the block's per-mode fold from
-    /// the memo (filling it on first use); any other model folds the block
-    /// afresh. Idle is then folded in log order over the block's
-    /// idle-bearing windows and each gap's windows, so a call costs
-    /// O(runs) model evaluations once the fold exists, and every float
-    /// equals a window-by-window fold in log order, bit for bit.
+    /// memo for this model, and the first on a log with idle gaps claims
+    /// the log's gap memo. An owner reads the block's per-mode fold and
+    /// the gaps' window energies from the memos (filling them on first
+    /// use); any other model computes them afresh. Idle is then folded in
+    /// log order over the block's idle-bearing windows and each gap's
+    /// windows, so a call costs O(runs) model evaluations, none once both
+    /// memos are filled, and every float equals a window-by-window fold in
+    /// log order, bit for bit.
     pub fn mode_table(&self, log: &SimLog) -> ModePowerTable {
         let memo = self.block_memo(log);
         let mut filled = false;
@@ -420,11 +427,12 @@ impl PowerModel {
                 &local
             }
         };
-        count_post_call(filled, memo.is_some() && !filled);
+        let (gap_energies, gap_memo) = self.gap_energies(log);
+        count_post_call([memo.map(|_| filled), gap_memo]);
+        let mut gaps = gap_energies.iter();
         let mut mode_energy_j = fold.mode_energy_j;
         let idle = &mut mode_energy_j[Mode::Idle.index()];
         let mut idle_windows = fold.idle_windows.iter().peekable();
-        let mut full = None;
         for run in log.runs() {
             match run {
                 LogRun::Segment {
@@ -435,13 +443,8 @@ impl PowerModel {
                         idle.merge(energy);
                     }
                 }
-                LogRun::IdleGap {
-                    cycles,
-                    interval,
-                    events,
-                    ..
-                } => {
-                    let gap = self.gap_windows(cycles, interval, events, false, &mut full);
+                LogRun::IdleGap { .. } => {
+                    let gap = gaps.next().expect("one entry per gap");
                     for j in 0..gap.len() {
                         idle.merge(gap.window(j).1);
                     }
@@ -464,7 +467,7 @@ impl PowerModel {
         let mut mode_energy_j = [GroupPower::new(); Mode::COUNT];
         let mut idle_windows = Vec::new();
         for (at, sample) in block.samples().enumerate() {
-            let energy = self.window_energies(&sample.mode_cycles, &sample.events, false);
+            let energy = self.window_energies(&sample.mode_cycles, sample.events.as_rows(), false);
             for mode in Mode::ALL {
                 let i = mode.index();
                 if sample.mode_cycles[i] == 0 {
@@ -490,7 +493,7 @@ impl PowerModel {
         block
             .samples()
             .map(|s| {
-                let energy = self.window_energies(&s.mode_cycles, &s.events, true);
+                let energy = self.window_energies(&s.mode_cycles, s.events.as_rows(), true);
                 let cycles = s.cycles();
                 ProfilePoint {
                     t_end_s: 0.0,
@@ -506,23 +509,72 @@ impl PowerModel {
             .collect()
     }
 
+    /// The windows of each of `log`'s idle gaps with their energies, in
+    /// log order: the log's gap memo when this model owns it (filling it
+    /// on first use), computed afresh otherwise. The first call on a log
+    /// with gaps claims its memo. Also returns `Some(filled)` when the
+    /// model owns the memo, `None` otherwise (see [`count_post_call`]).
+    fn gap_energies<'a>(&self, log: &'a SimLog) -> (Cow<'a, [GapWindows]>, Option<bool>) {
+        let gap_count = log
+            .runs()
+            .filter(|run| matches!(run, LogRun::IdleGap { .. }))
+            .count();
+        if gap_count == 0 {
+            return (Cow::Borrowed(&[]), None);
+        }
+        let mut filled = false;
+        let memo = log
+            .gap_memo()
+            .get_or_init(|| {
+                filled = true;
+                Box::new(GapMemo {
+                    params: *self.params(),
+                    gaps: self.log_gaps(log, gap_count),
+                })
+            })
+            .downcast_ref::<GapMemo>()
+            .filter(|memo| memo.params == *self.params());
+        match memo {
+            Some(memo) => (Cow::Borrowed(&memo.gaps), Some(filled)),
+            None => (Cow::Owned(self.log_gaps(log, gap_count)), None),
+        }
+    }
+
+    /// The windows of each of `log`'s `gap_count` idle gaps with their
+    /// energies, in log order. A full event-free window is evaluated once
+    /// per log.
+    fn log_gaps(&self, log: &SimLog, gap_count: usize) -> Vec<GapWindows> {
+        let mut full = None;
+        let mut gaps = Vec::with_capacity(gap_count);
+        for run in log.runs() {
+            if let LogRun::IdleGap {
+                cycles,
+                interval,
+                events,
+                ..
+            } = run
+            {
+                gaps.push(self.gap_windows(cycles, interval, events, &mut full));
+            }
+        }
+        gaps
+    }
+
     /// The windows of an idle gap of `cycles` cycles whose first window
-    /// carries `events`, with their energies: the first window's
-    /// whole-window energy only if `whole`, and a full window's from
-    /// `full`, which keeps it for the rest of the call.
+    /// carries `events`, with their energies, and a full window's from
+    /// `full`, which keeps it for the rest of the log.
     fn gap_windows(
         &self,
         cycles: u64,
         interval: u64,
-        events: &ModeCounters,
-        whole: bool,
+        events: ModeRows<'_>,
         full: &mut Option<GroupPower>,
     ) -> GapWindows {
         let first_cycles = cycles.min(interval);
         let full_windows = (cycles - first_cycles) / interval;
         let last_cycles = (cycles - first_cycles) % interval;
-        let first = self.window_energies(&idle_cycles(first_cycles), events, whole);
-        let event_free = |cycles| self.window_energy_j(&CounterSet::new(), cycles);
+        let first = self.window_energies(&idle_cycles(first_cycles), events, true);
+        let event_free = |cycles| self.window_energy_j(&NO_EVENTS, cycles);
         GapWindows {
             first_cycles,
             full_windows,
@@ -543,11 +595,14 @@ impl PowerModel {
     }
 
     /// The energies of a window with `mode_cycles` and `events`, the
-    /// whole window's only if `whole`.
+    /// whole window's only if `whole`. The whole window's energy is
+    /// evaluated only for a window whose cycles and events span more than
+    /// one mode; otherwise it is that one mode's energy (see
+    /// [`only_mode`]).
     fn window_energies(
         &self,
         mode_cycles: &[u64; Mode::COUNT],
-        events: &ModeCounters,
+        events: ModeRows<'_>,
         whole: bool,
     ) -> WindowEnergies {
         let mut out = [GroupPower::new(); Mode::COUNT + 1];
@@ -558,7 +613,10 @@ impl PowerModel {
             }
         }
         if whole {
-            out[Mode::COUNT] = self.window_energy_j(&events.combined(), mode_cycles.iter().sum());
+            out[Mode::COUNT] = match only_mode(mode_cycles, events) {
+                Some(mode) => out[mode.index()],
+                None => self.window_energy_j(&events.combined(), mode_cycles.iter().sum()),
+            };
         }
         out
     }
@@ -571,15 +629,30 @@ impl PowerModel {
             .memo()
             .get_or_init(|| {
                 Box::new(BlockMemo {
-                    model: self.clone(),
+                    params: *self.params(),
                     fold: OnceLock::new(),
                     points: OnceLock::new(),
                 })
             })
             .downcast_ref::<BlockMemo>()
-            .filter(|memo| memo.model == *self)
+            .filter(|memo| memo.params == *self.params())
     }
 }
+
+/// The one mode a window's cycles and events all lie in, if there is one:
+/// the only mode with cycles, when no other mode has a row. That mode's
+/// energy is then the whole window's, bit for bit: `combined()` of the one
+/// row (or of none) equals `mode(m)`, and the cycle sum is `m`'s cycles, so
+/// `window_energy_j` gets the same inputs.
+fn only_mode(mode_cycles: &[u64; Mode::COUNT], events: ModeRows<'_>) -> Option<Mode> {
+    let mut with_cycles = Mode::ALL.into_iter().filter(|m| mode_cycles[m.index()] > 0);
+    let mode = with_cycles.next()?;
+    let alone = with_cycles.next().is_none() && events.mask() & !(1 << mode.index()) == 0;
+    alone.then_some(mode)
+}
+
+/// The events of a gap window after the first.
+static NO_EVENTS: CounterSet = CounterSet::new();
 
 /// Cycles of a window spent only in Idle.
 fn idle_cycles(cycles: u64) -> [u64; Mode::COUNT] {
@@ -588,16 +661,27 @@ fn idle_cycles(cycles: u64) -> [u64; Mode::COUNT] {
     mode_cycles
 }
 
-/// Counts one `mode_table`/`profile` call, and whether it computed the
-/// part of its block's memo it reads (`filled`) or found it there
-/// (`served`); a call by a model that does not own the memo is neither.
-/// One flag check per call, never per window.
-fn count_post_call(filled: bool, served: bool) {
+/// The memo a power model keeps in a log with idle gaps, tagged with the
+/// parameters of the model that claimed it: every gap's windows with their
+/// energies, in log order, read by both [`PowerModel::mode_table`] and
+/// [`PowerModel::profile`].
+struct GapMemo {
+    params: PowerParams,
+    gaps: Vec<GapWindows>,
+}
+
+/// Counts one `mode_table`/`profile` call and what it did with each memo
+/// it reads, its block's part and its log's gaps: `Some(true)` if it
+/// computed the memo, `Some(false)` if it found it filled, `None` if the
+/// model does not own it. One flag check per call, never per window.
+fn count_post_call(memos: [Option<bool>; 2]) {
     if softwatt_obs::enabled() {
         use softwatt_obs::registry::counter;
+        let filled = memos.iter().filter(|&&m| m == Some(true)).count();
+        let served = memos.iter().filter(|&&m| m == Some(false)).count();
         counter("power.post_calls").add(1);
-        counter("power.memo_fills").add(u64::from(filled));
-        counter("power.memo_served").add(u64::from(served));
+        counter("power.memo_fills").add(filled as u64);
+        counter("power.memo_served").add(served as u64);
     }
 }
 
@@ -796,6 +880,43 @@ mod tests {
             cc1_profile != profile,
             "a different model gives a different profile"
         );
+    }
+
+    /// The first call on a log with gaps fills the log's gap memo and the
+    /// other call reads it; a clone of the log starts with an empty memo,
+    /// and a model that does not own it computes the gaps afresh. None of
+    /// this changes a bit of either result.
+    #[test]
+    fn gap_windows_are_evaluated_once_per_log() {
+        let paper = PowerModel::new(&PowerParams::default());
+        let cc1 = PowerModel::new(&PowerParams {
+            gating: crate::ClockGating::AlwaysOn,
+            ..PowerParams::default()
+        });
+        let gap_memo = |log: &SimLog| {
+            log.gap_memo()
+                .get()
+                .and_then(|memo| memo.downcast_ref::<GapMemo>())
+                .map(|memo| memo.gaps.len())
+        };
+        let log = gapped_log();
+        assert_eq!(gap_memo(&log), None);
+        let table = paper.mode_table(&log);
+        assert_eq!(gap_memo(&log), Some(2), "one entry per gap");
+        let profile = paper.profile(&log);
+
+        let copy = log.clone();
+        assert_eq!(gap_memo(&copy), None, "a clone's gap memo starts empty");
+        let copy_profile = paper.profile(&copy);
+        assert_eq!(gap_memo(&copy), Some(2));
+        assert!(copy_profile == profile);
+        assert_eq!(table_bits(&paper.mode_table(&copy)), table_bits(&table));
+
+        let fresh = gapped_log();
+        let cc1_table = cc1.mode_table(&fresh);
+        assert!(paper.profile(&fresh) == profile, "the memo's owner is CC1");
+        assert_eq!(table_bits(&paper.mode_table(&fresh)), table_bits(&table));
+        assert_eq!(table_bits(&cc1.mode_table(&log)), table_bits(&cc1_table));
     }
 
     #[test]

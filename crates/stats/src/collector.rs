@@ -1,9 +1,10 @@
 //! The per-simulation statistics sink.
 
+use crate::counters::{flat_rows, push_rows, FlatCounters};
 use crate::log::Part;
 use crate::{
-    Clocking, CounterSet, EnergyWeights, InvocationRecord, Mode, ModeCounters, Sample, Segments,
-    ServiceId, ServiceProfiler, SimLog, UnitEvent,
+    Clocking, CounterSet, EnergyWeights, InvocationRecord, Mode, ModeCounters, ModeEvents, Sample,
+    Segments, ServiceId, ServiceProfiler, SimLog, UnitEvent,
 };
 
 /// The idle-loop events of a `gap`-cycle analytic idle stretch, synthesized
@@ -69,13 +70,15 @@ pub struct StatsCollector {
     // array indexed by `mode.index() * UnitEvent::COUNT + event.index()`.
     // `record` is the hottest call in the simulator (several per cycle),
     // so it does exactly two array increments: this delta and `combined`.
-    // Windows fold the array into a [`Sample`] (and into `closed_totals`)
-    // on flush — no snapshot clone, no delta subtraction.
-    window_events: [u64; Mode::COUNT * UnitEvent::COUNT],
+    // A closing window keeps the array's non-zero rows (a sample's own,
+    // or the log's gap rows) and adds it to `closed_totals`: no snapshot
+    // clone, no delta subtraction.
+    window_events: FlatCounters,
     // `mode.index() * UnitEvent::COUNT`, cached on every mode switch.
     mode_base: usize,
-    // Totals of all *emitted* samples; `totals()` adds the open window.
-    closed_totals: ModeCounters,
+    // Totals of all closed windows, laid out like `window_events`;
+    // `totals()` adds the open window.
+    closed_totals: FlatCounters,
     // All-time totals summed over modes, maintained incrementally so the
     // per-syscall service brackets never pay a full reduction.
     combined: CounterSet,
@@ -97,6 +100,10 @@ pub struct StatsCollector {
     samples: Vec<Sample>,
     // The log's runs so far; `finish` adds the open segment's.
     parts: Vec<Part>,
+    // The rows of the gaps' first-window events, in gap order.
+    gap_rows: Vec<CounterSet>,
+    // Scratch for a closing window's rows.
+    rows: Vec<CounterSet>,
     profiler: ServiceProfiler,
 }
 
@@ -128,7 +135,7 @@ impl StatsCollector {
             mode: Mode::User,
             window_events: [0; Mode::COUNT * UnitEvent::COUNT],
             mode_base: Mode::User.index() * UnitEvent::COUNT,
-            closed_totals: ModeCounters::new(),
+            closed_totals: [0; Mode::COUNT * UnitEvent::COUNT],
             combined: CounterSet::new(),
             mode_cycles: [0; Mode::COUNT],
             window_start_mode_cycles: [0; Mode::COUNT],
@@ -140,6 +147,8 @@ impl StatsCollector {
             segments: Vec::new(),
             samples: Vec::new(),
             parts: Vec::new(),
+            gap_rows: Vec::new(),
+            rows: Vec::new(),
             profiler: ServiceProfiler::new(weights),
         }
     }
@@ -241,10 +250,12 @@ impl StatsCollector {
     /// with idle-loop events synthesized from the measured per-cycle
     /// `rates` by the residual carry of `idle_gap_events`. The gap is
     /// recorded as one analytic run: its first window carries every event
-    /// (the synthesized ones and any recorded since the last tick), and the
-    /// rest are event-free, exactly the windows that ticking through the
-    /// gap would emit. A zero-length gap only flushes and closes the
-    /// segment (the boundary is still policy-relevant).
+    /// (the synthesized ones and any recorded since the last tick, each in
+    /// the mode it was recorded in), and the rest are event-free, exactly
+    /// the windows that ticking through the gap would emit. The first
+    /// window's rows join the log's gap rows. A zero-length gap only
+    /// flushes and closes the segment (the boundary is still
+    /// policy-relevant).
     pub fn skip_idle_gap(&mut self, gap: u64, rates: &[(UnitEvent, f64)], idle_service: ServiceId) {
         self.flush_window();
         self.close_segment();
@@ -259,10 +270,13 @@ impl StatsCollector {
         for (event, n) in idle_gap_events(rates, gap, &mut self.idle_residual).iter() {
             self.record_n(event, n);
         }
-        let events = self.take_window_events();
+        let first_row = self.gap_rows.len();
+        let Ok(mask) = push_rows(&mut self.gap_rows, flat_rows(&self.window_events));
+        self.close_window_events();
         self.parts.push(Part::IdleGap {
             cycles: gap,
-            events: Box::new(events),
+            mask,
+            first_row,
         });
         self.mode_cycles[Mode::Idle.index()] += gap;
         self.cycle += gap;
@@ -279,11 +293,7 @@ impl StatsCollector {
     /// Provided the replay sits at the same in-window offset as the
     /// original run, the emitted sample stream is identical.
     pub fn replay_sample(&mut self, sample: &Sample) {
-        for mode in Mode::ALL {
-            let counts = sample.events.mode(mode);
-            if counts.total() == 0 {
-                continue;
-            }
+        for (mode, counts) in sample.events.rows() {
             self.set_mode(mode);
             for (event, n) in counts.iter() {
                 if n > 0 {
@@ -316,9 +326,11 @@ impl StatsCollector {
 
     /// Running totals (all emitted samples plus the open window).
     pub fn totals(&self) -> ModeCounters {
-        let mut out = self.closed_totals.clone();
-        out.merge(&ModeCounters::from_flat(&self.window_events));
-        out
+        let mut flat = self.closed_totals;
+        for (total, open) in flat.iter_mut().zip(&self.window_events) {
+            *total += open;
+        }
+        ModeCounters::from_flat(&flat)
     }
 
     /// Running totals summed over modes, maintained incrementally
@@ -337,19 +349,21 @@ impl StatsCollector {
         &self.profiler
     }
 
-    /// The open window's events, folded into the closed totals and reset.
-    /// The accumulator *is* the window's delta: no snapshot clone, no
-    /// delta subtraction.
-    fn take_window_events(&mut self) -> ModeCounters {
-        let events = ModeCounters::from_flat(&self.window_events);
-        self.window_events = [0; Mode::COUNT * UnitEvent::COUNT];
-        self.closed_totals.merge(&events);
-        events
+    /// Folds the open window's events into the closed totals and resets
+    /// the accumulator, once the closing window has kept its rows. The
+    /// accumulator *is* the window's delta: no snapshot clone, no delta
+    /// subtraction.
+    fn close_window_events(&mut self) {
+        for (total, open) in self.closed_totals.iter_mut().zip(&mut self.window_events) {
+            *total += *open;
+            *open = 0;
+        }
     }
 
     fn emit_sample(&mut self) {
         softwatt_obs::count("stats.samples_emitted", 1);
-        let events = self.take_window_events();
+        let Ok(events) = ModeEvents::read_rows(&mut self.rows, flat_rows(&self.window_events));
+        self.close_window_events();
         let mut mode_cycles = [0; Mode::COUNT];
         for (out, (now, start)) in mode_cycles
             .iter_mut()
@@ -386,7 +400,13 @@ impl StatsCollector {
         }
         self.close_segment();
         let block = Segments::new(self.segments);
-        let log = SimLog::new(self.clocking, self.sample_interval, block, self.parts);
+        let log = SimLog::new(
+            self.clocking,
+            self.sample_interval,
+            block,
+            self.parts,
+            self.gap_rows,
+        );
         (log, self.profiler)
     }
 }

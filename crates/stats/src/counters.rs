@@ -1,4 +1,8 @@
-//! Flat counter storage for unit events, with per-mode bucketing.
+//! Flat counter storage for unit events, with per-mode bucketing: dense
+//! ([`ModeCounters`], for running totals) and sparse ([`ModeEvents`], for
+//! the windows of a log).
+
+use std::convert::Infallible;
 
 use crate::{Mode, UnitEvent};
 
@@ -44,17 +48,17 @@ impl CounterSet {
         self.counts.iter().sum()
     }
 
+    /// Whether every counter is zero.
+    pub fn is_zero(&self) -> bool {
+        self.counts.iter().fold(0, |any, &c| any | c) == 0
+    }
+
     /// The raw counts array, indexed by [`UnitEvent::index`]. Lets hot
     /// consumers (the power post, the window fold) walk the counters once
     /// without per-event enum dispatch.
     #[inline]
     pub fn counts(&self) -> &[u64; UnitEvent::COUNT] {
         &self.counts
-    }
-
-    /// Builds a set directly from a raw counts array.
-    pub(crate) fn from_counts(counts: [u64; UnitEvent::COUNT]) -> CounterSet {
-        CounterSet { counts }
     }
 
     /// Element-wise `self - earlier`, used to form delta samples.
@@ -102,7 +106,10 @@ impl Default for CounterSet {
     }
 }
 
-/// Counter sets bucketed by software [`Mode`].
+/// Counter sets bucketed by software [`Mode`], every mode's set kept:
+/// the dense form, for running totals ([`crate::StatsCollector::totals`],
+/// [`crate::SimLog::total_events`]). A log's windows keep theirs sparsely,
+/// as [`ModeEvents`].
 ///
 /// # Examples
 ///
@@ -162,25 +169,23 @@ impl ModeCounters {
         out
     }
 
-    /// Element-wise accumulate of `other` into `self`, per mode.
-    pub fn merge(&mut self, other: &ModeCounters) {
-        for i in 0..Mode::COUNT {
-            self.per_mode[i].merge(&other.per_mode[i]);
+    /// Accumulates the rows of sparse per-mode `events` into `self`.
+    pub fn add_events<R: AsRef<[CounterSet]>>(&mut self, events: &ModeEvents<R>) {
+        for (mode, row) in events.rows() {
+            self.per_mode[mode.index()].merge(row);
         }
     }
 
-    /// Builds per-mode counters from one flat array laid out as
-    /// `mode.index() * UnitEvent::COUNT + event.index()` (the collector's
-    /// open-window accumulator).
-    pub(crate) fn from_flat(flat: &[u64; Mode::COUNT * UnitEvent::COUNT]) -> ModeCounters {
+    /// Builds per-mode counters from one flat array (see
+    /// [`FlatCounters`]).
+    pub(crate) fn from_flat(flat: &FlatCounters) -> ModeCounters {
         let mut out = ModeCounters::new();
-        for m in 0..Mode::COUNT {
-            let base = m * UnitEvent::COUNT;
-            out.per_mode[m] = CounterSet::from_counts(
-                flat[base..base + UnitEvent::COUNT]
-                    .try_into()
-                    .expect("slice is exactly UnitEvent::COUNT long"),
-            );
+        for (row, counts) in out
+            .per_mode
+            .iter_mut()
+            .zip(flat.chunks_exact(UnitEvent::COUNT))
+        {
+            row.counts.copy_from_slice(counts);
         }
         out
     }
@@ -189,6 +194,165 @@ impl ModeCounters {
 impl Default for ModeCounters {
     fn default() -> Self {
         ModeCounters::new()
+    }
+}
+
+/// Per-mode counters as one flat array indexed by
+/// `mode.index() * UnitEvent::COUNT + event.index()`: the layout of the
+/// collector's accumulators.
+pub(crate) type FlatCounters = [u64; Mode::COUNT * UnitEvent::COUNT];
+
+/// Appends to `rows`, in mode order, each mode's row that `read` fills
+/// in from zero and that has a non-zero count, and returns their modes'
+/// mask (bit `mode.index()` per row): the one place that decides which
+/// rows a [`ModeEvents`] keeps.
+pub(crate) fn push_rows<E>(
+    rows: &mut Vec<CounterSet>,
+    mut read: impl FnMut(Mode, &mut [u64; UnitEvent::COUNT]) -> Result<(), E>,
+) -> Result<u8, E> {
+    let mut mask = 0;
+    for mode in Mode::ALL {
+        let mut row = CounterSet::new();
+        read(mode, &mut row.counts)?;
+        if !row.is_zero() {
+            mask |= 1 << mode.index();
+            rows.push(row);
+        }
+    }
+    Ok(mask)
+}
+
+/// A `read` for [`push_rows`] that copies each mode's row of a flat
+/// array.
+pub(crate) fn flat_rows(
+    flat: &FlatCounters,
+) -> impl FnMut(Mode, &mut [u64; UnitEvent::COUNT]) -> Result<(), Infallible> + '_ {
+    |mode, counts| {
+        let base = mode.index() * UnitEvent::COUNT;
+        counts.copy_from_slice(&flat[base..base + UnitEvent::COUNT]);
+        Ok(())
+    }
+}
+
+/// The all-zero row [`ModeEvents::mode`] returns for a mode without one.
+static ZERO_ROW: CounterSet = CounterSet::new();
+
+/// Event counts per [`Mode`], kept sparsely: a mode mask plus one
+/// [`CounterSet`] row per mode with a non-zero count, in mode order.
+///
+/// The form is canonical: a mode has a row if and only if one of its
+/// counts is non-zero. So two values are equal exactly when their dense
+/// per-mode counters are, and the derived equality means what
+/// [`ModeCounters`]'s does. `R` stores the rows: a boxed slice in an
+/// owned value (a [`crate::Sample`]'s), a borrowed slice in a
+/// [`ModeRows`] (the windows a [`crate::SimLog`] yields).
+///
+/// # Examples
+///
+/// ```
+/// use softwatt_stats::{Mode, ModeCounters, ModeEvents, UnitEvent};
+///
+/// let mut dense = ModeCounters::new();
+/// dense.mode_mut(Mode::Idle).add(UnitEvent::IcacheAccess, 3);
+/// let events = ModeEvents::from(&dense);
+/// assert_eq!(events.rows().count(), 1, "one row: Idle's");
+/// assert_eq!(events.mode(Mode::Idle).get(UnitEvent::IcacheAccess), 3);
+/// assert_eq!(events.mode(Mode::User).total(), 0);
+/// assert_eq!(events.combined(), dense.combined());
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModeEvents<R = Box<[CounterSet]>> {
+    mask: u8,
+    rows: R,
+}
+
+/// [`ModeEvents`] whose rows are borrowed: what a log's windows carry.
+pub type ModeRows<'a> = ModeEvents<&'a [CounterSet]>;
+
+impl<R: AsRef<[CounterSet]>> ModeEvents<R> {
+    /// The events whose rows are `rows`, one per mode set in `mask`, in
+    /// mode order.
+    pub(crate) fn from_parts(mask: u8, rows: R) -> ModeEvents<R> {
+        debug_assert_eq!(rows.as_ref().len(), mask.count_ones() as usize);
+        debug_assert!(rows.as_ref().iter().all(|row| !row.is_zero()));
+        ModeEvents { mask, rows }
+    }
+
+    /// Counters for one mode: its row, or an all-zero row if it has none.
+    #[inline]
+    pub fn mode(&self, mode: Mode) -> &CounterSet {
+        let bit = 1u8 << mode.index();
+        if self.mask & bit == 0 {
+            return &ZERO_ROW;
+        }
+        &self.rows.as_ref()[(self.mask & (bit - 1)).count_ones() as usize]
+    }
+
+    /// The modes that have a row, as a mask with bit `mode.index()` set
+    /// for each.
+    #[inline]
+    pub fn mask(&self) -> u8 {
+        self.mask
+    }
+
+    /// Each mode's row, in mode order, for the modes that have one.
+    pub fn rows(&self) -> impl Iterator<Item = (Mode, &CounterSet)> + '_ {
+        Mode::ALL
+            .into_iter()
+            .filter(|mode| self.mask & (1 << mode.index()) != 0)
+            .zip(self.rows.as_ref())
+    }
+
+    /// Sum across all modes: the sum of the rows present.
+    pub fn combined(&self) -> CounterSet {
+        let mut out = CounterSet::new();
+        for row in self.rows.as_ref() {
+            out.merge(row);
+        }
+        out
+    }
+
+    /// The events with their rows borrowed.
+    #[inline]
+    pub fn as_rows(&self) -> ModeRows<'_> {
+        ModeEvents {
+            mask: self.mask,
+            rows: self.rows.as_ref(),
+        }
+    }
+}
+
+impl ModeEvents {
+    /// Reads one row per mode, in mode order, by `read`, which fills a
+    /// zeroed row's counts, and keeps the non-zero rows (see
+    /// [`push_rows`]): how the collector and the decoders build a window's
+    /// events with no dense value in between. `rows` is scratch space,
+    /// reused from call to call.
+    pub(crate) fn read_rows<E>(
+        rows: &mut Vec<CounterSet>,
+        read: impl FnMut(Mode, &mut [u64; UnitEvent::COUNT]) -> Result<(), E>,
+    ) -> Result<ModeEvents, E> {
+        rows.clear();
+        let mask = push_rows(rows, read)?;
+        Ok(ModeEvents::from_parts(mask, rows.as_slice().into()))
+    }
+}
+
+/// An owned copy of borrowed rows.
+impl From<ModeRows<'_>> for ModeEvents {
+    fn from(events: ModeRows<'_>) -> ModeEvents {
+        ModeEvents::from_parts(events.mask, events.rows.into())
+    }
+}
+
+/// The sparse form of dense per-mode counters.
+impl From<&ModeCounters> for ModeEvents {
+    fn from(dense: &ModeCounters) -> ModeEvents {
+        let Ok(events) = ModeEvents::read_rows(&mut Vec::new(), |mode, counts| {
+            *counts = dense.mode(mode).counts;
+            Ok::<_, Infallible>(())
+        });
+        events
     }
 }
 

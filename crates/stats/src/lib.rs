@@ -53,7 +53,7 @@ mod collector;
 
 pub use clocking::Clocking;
 pub use collector::StatsCollector;
-pub use counters::{CounterSet, ModeCounters};
+pub use counters::{CounterSet, ModeCounters, ModeEvents, ModeRows};
 pub use event::UnitEvent;
 pub use log::{LogRun, RunWindows, Sample, SimLog, Window};
 pub use mode::Mode;

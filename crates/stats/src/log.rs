@@ -16,11 +16,17 @@
 //! block it wrote to its trace. Run start cycles and window end cycles are
 //! derived from the cycle counts, so a log cannot hold a window whose end
 //! cycle disagrees with the windows before it.
+//!
+//! Every window keeps its events sparsely ([`ModeEvents`]): one row per
+//! mode with a non-zero count. A work sample owns its rows; the rows of a
+//! log's gap windows live in one vector per log, so writing a gap
+//! allocates nothing of its own.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use crate::{Mode, ModeCounters, Segments, UnitEvent};
+use crate::segments::MemoSlot;
+use crate::{CounterSet, Mode, ModeCounters, ModeEvents, ModeRows, Segments, UnitEvent};
 
 /// One sampling window of the simulation log.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +37,7 @@ pub struct Sample {
     /// [`Mode::index`].
     pub mode_cycles: [u64; Mode::COUNT],
     /// Event-count deltas accumulated during the window, per mode.
-    pub events: ModeCounters,
+    pub events: ModeEvents,
 }
 
 impl Sample {
@@ -45,7 +51,7 @@ impl Sample {
         Window {
             end_cycle: self.end_cycle,
             mode_cycles: self.mode_cycles,
-            events: &self.events,
+            events: self.events.as_rows(),
         }
     }
 }
@@ -59,7 +65,7 @@ pub struct Window<'a> {
     /// Cycles spent in each mode during the window.
     pub mode_cycles: [u64; Mode::COUNT],
     /// Event-count deltas accumulated during the window, per mode.
-    pub events: &'a ModeCounters,
+    pub events: ModeRows<'a>,
 }
 
 impl Window<'_> {
@@ -73,13 +79,10 @@ impl Window<'_> {
         Sample {
             end_cycle: self.end_cycle,
             mode_cycles: self.mode_cycles,
-            events: self.events.clone(),
+            events: self.events.into(),
         }
     }
 }
-
-/// The events of every idle-gap window after the first.
-static NO_EVENTS: ModeCounters = ModeCounters::new();
 
 /// One run of consecutive windows of a [`SimLog`], as post-processors see
 /// it (see [`SimLog::runs`]).
@@ -110,7 +113,7 @@ pub enum LogRun<'a> {
         /// Events of the gap's first window: the synthesized idle events
         /// (in [`Mode::Idle`]) plus any the collector recorded after its
         /// last tick before the gap.
-        events: &'a ModeCounters,
+        events: ModeRows<'a>,
     },
 }
 
@@ -156,7 +159,7 @@ enum Cursor<'a> {
         cycle: u64,
         remaining: u64,
         interval: u64,
-        first: Option<&'a ModeCounters>,
+        first: Option<ModeRows<'a>>,
     },
 }
 
@@ -188,7 +191,7 @@ impl<'a> Iterator for RunWindows<'a> {
                 Some(Window {
                     end_cycle: *cycle,
                     mode_cycles,
-                    events: first.take().unwrap_or(&NO_EVENTS),
+                    events: first.take().unwrap_or_default(),
                 })
             }
         }
@@ -203,17 +206,23 @@ pub(crate) enum Part {
     /// segment k, so a log reads every segment of its block once, in
     /// block order.
     Segment,
-    /// An analytic idle gap of `cycles` cycles whose first window carries
-    /// `events`.
+    /// An analytic idle gap of `cycles` cycles. Its first window's events
+    /// are the log's gap rows from `first_row` on, one per mode in `mask`
+    /// (see [`ModeEvents`]).
     IdleGap {
         cycles: u64,
-        events: Box<ModeCounters>,
+        mask: u8,
+        first_row: usize,
     },
 }
 
 /// A sequence of sampling windows plus whole-run metadata.
 ///
 /// Equality compares window by window, whatever runs hold them.
+///
+/// Like its block, a log carries one write-once memo slot for a
+/// post-processor (the power crate keeps its gap windows' energies there).
+/// It is never part of equality, and a clone starts with an empty slot.
 ///
 /// # Examples
 ///
@@ -231,17 +240,20 @@ pub(crate) enum Part {
 /// assert_eq!(log.len(), 3);
 /// assert_eq!(log.windows().last().unwrap().cycles(), 2);
 /// ```
-#[derive(Clone)]
 pub struct SimLog {
     clocking: crate::Clocking,
     sample_interval: u64,
     // The block the `Part::Segment` runs read, one run per segment.
     block: Segments,
     parts: Vec<Part>,
+    // The rows of the gaps' first-window events, in gap order.
+    gap_rows: Vec<CounterSet>,
+    gap_memo: MemoSlot,
 }
 
 impl SimLog {
-    /// The log whose runs are `parts`, reading segments from `block`.
+    /// The log whose runs are `parts`, reading segments from `block` and
+    /// gap events from `gap_rows`.
     ///
     /// # Panics
     ///
@@ -252,6 +264,7 @@ impl SimLog {
         sample_interval: u64,
         block: Segments,
         parts: Vec<Part>,
+        gap_rows: Vec<CounterSet>,
     ) -> SimLog {
         let segment_runs = parts
             .iter()
@@ -267,6 +280,8 @@ impl SimLog {
             sample_interval,
             block,
             parts,
+            gap_rows,
+            gap_memo: MemoSlot::new(),
         }
     }
 
@@ -302,6 +317,12 @@ impl SimLog {
         &self.block
     }
 
+    /// The log's write-once memo slot for what a post-processor derives
+    /// from its idle gaps. The first consumer to fill it owns it.
+    pub fn gap_memo(&self) -> &MemoSlot {
+        &self.gap_memo
+    }
+
     /// The lengths of the log's idle gaps, in order.
     fn gaps(&self) -> impl Iterator<Item = u64> + '_ {
         self.parts.iter().filter_map(|part| match part {
@@ -327,13 +348,18 @@ impl SimLog {
                         start_cycle,
                     }
                 }
-                Part::IdleGap { cycles, events } => {
+                Part::IdleGap {
+                    cycles,
+                    mask,
+                    first_row,
+                } => {
                     cycle += cycles;
+                    let rows = *first_row..first_row + mask.count_ones() as usize;
                     LogRun::IdleGap {
                         start_cycle,
                         cycles: *cycles,
                         interval: self.sample_interval,
-                        events,
+                        events: ModeEvents::from_parts(*mask, &self.gap_rows[rows]),
                     }
                 }
             }
@@ -393,8 +419,8 @@ impl SimLog {
                 write!(w, ",{}", s.mode_cycles[m.index()])?;
             }
             for m in Mode::ALL {
-                for e in UnitEvent::ALL {
-                    write!(w, ",{}", s.events.mode(m).get(e))?;
+                for count in s.events.mode(m).counts() {
+                    write!(w, ",{count}")?;
                 }
             }
             writeln!(w)?;
@@ -439,6 +465,8 @@ impl SimLog {
             .ok_or_else(|| bad("simlog clock rate and time scale must be positive and finite"))?;
         let _columns = lines.next().ok_or_else(|| bad("missing column header"))??;
         let mut samples = Vec::new();
+        // One row per mode with a non-zero count, reused row to row.
+        let mut rows = Vec::with_capacity(Mode::COUNT);
         let mut prev_end = None;
         let expected = 1 + Mode::COUNT + Mode::COUNT * UnitEvent::COUNT;
         for line in lines {
@@ -459,12 +487,12 @@ impl SimLog {
             for mc in &mut mode_cycles {
                 *mc = next_u64()?;
             }
-            let mut events = ModeCounters::new();
-            for m in Mode::ALL {
-                for e in UnitEvent::ALL {
-                    events.mode_mut(m).add(e, next_u64()?);
+            let events = ModeEvents::read_rows(&mut rows, |_, counts| {
+                for count in counts {
+                    *count = next_u64()?;
                 }
-            }
+                Ok::<_, io::Error>(())
+            })?;
             if line.split(',').count() != expected {
                 return Err(bad("wrong column count"));
             }
@@ -485,16 +513,36 @@ impl SimLog {
             });
         }
         let block = Segments::new(vec![samples]);
-        Ok(SimLog::new(clocking, interval, block, vec![Part::Segment]))
+        Ok(SimLog::new(
+            clocking,
+            interval,
+            block,
+            vec![Part::Segment],
+            Vec::new(),
+        ))
     }
 
     /// Sums event counters over the whole run, per mode.
     pub fn total_events(&self) -> ModeCounters {
         let mut out = ModeCounters::new();
         for w in self.windows() {
-            out.merge(w.events);
+            out.add_events(&w.events);
         }
         out
+    }
+}
+
+/// Shares the block; the copy's gap memo starts empty.
+impl Clone for SimLog {
+    fn clone(&self) -> SimLog {
+        SimLog {
+            clocking: self.clocking,
+            sample_interval: self.sample_interval,
+            block: self.block.clone(),
+            parts: self.parts.clone(),
+            gap_rows: self.gap_rows.clone(),
+            gap_memo: MemoSlot::new(),
+        }
     }
 }
 
@@ -520,7 +568,7 @@ impl fmt::Debug for SimLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Clocking, CounterSet, UnitEvent};
+    use crate::{Clocking, UnitEvent};
 
     fn sample(end: u64, user_cycles: u64, alu: u64) -> Sample {
         let mut events = ModeCounters::new();
@@ -530,14 +578,14 @@ mod tests {
         Sample {
             end_cycle: end,
             mode_cycles,
-            events,
+            events: (&events).into(),
         }
     }
 
     /// A one-segment log of `samples`.
     fn log_of(clocking: Clocking, interval: u64, samples: Vec<Sample>) -> SimLog {
         let block = Segments::new(vec![samples]);
-        SimLog::new(clocking, interval, block, vec![Part::Segment])
+        SimLog::new(clocking, interval, block, vec![Part::Segment], Vec::new())
     }
 
     fn read_csv(csv: &[u8]) -> io::Result<SimLog> {
@@ -609,7 +657,13 @@ mod tests {
     #[should_panic(expected = "a log reads every segment of its block once")]
     fn a_log_reads_every_segment_of_its_block() {
         let block = Segments::new(vec![vec![sample(100, 100, 1)], vec![sample(100, 100, 2)]]);
-        SimLog::new(Clocking::default(), 100, block, vec![Part::Segment]);
+        SimLog::new(
+            Clocking::default(),
+            100,
+            block,
+            vec![Part::Segment],
+            Vec::new(),
+        );
     }
 
     /// Per-mode cycles come from the block's totals plus the gaps' cycles,
@@ -623,13 +677,15 @@ mod tests {
         let block = Segments::new(vec![vec![sample(100, 100, 4), idle], vec![kernel]]);
         let gap = Part::IdleGap {
             cycles: 250,
-            events: Box::new(ModeCounters::new()),
+            mask: 0,
+            first_row: 0,
         };
         let log = SimLog::new(
             Clocking::default(),
             100,
             block,
             vec![Part::Segment, gap, Part::Segment],
+            Vec::new(),
         );
         for mode in Mode::ALL {
             let walked: u64 = log.windows().map(|w| w.mode_cycles[mode.index()]).sum();

@@ -4,8 +4,8 @@
 //! plus [`crate::StatsCollector::skip_idle_gap`]) re-executes every recorded
 //! event delta and re-ticks every work cycle through the full collector
 //! machinery. That is pleasingly literal but costs O(samples × modes ×
-//! events) for the work segments and allocates a fresh `ModeCounters` per
-//! emitted window.
+//! events) for the work segments and allocates fresh rows per emitted
+//! window.
 //!
 //! This module exploits the capture invariants to build the *identical* log
 //! directly, without touching a sample:
@@ -21,7 +21,9 @@
 //! - A gap is one analytic idle-gap run, the same run
 //!   [`crate::StatsCollector::skip_idle_gap`] records: its length and its
 //!   first window's events, synthesized by the same residual-carry routine
-//!   from the same `(gap, rates)` sequence.
+//!   from the same `(gap, rates)` sequence. Those events are one Idle row
+//!   (none if every count is zero), written to the log's one vector of
+//!   gap rows, which is sized once, so a gap allocates nothing.
 //! - The idle pseudo-service aggregate is a fold over the gaps in gap order
 //!   (`ServiceAggregate::add_invocation`, which
 //!   [`crate::ServiceProfiler::exit`] also calls); we perform the same fold
@@ -34,8 +36,7 @@
 use crate::collector::idle_gap_events;
 use crate::log::Part;
 use crate::{
-    EnergyWeights, Mode, ModeCounters, PerfTrace, ServiceAggregate, ServiceId, ServiceProfiler,
-    SimLog, UnitEvent,
+    EnergyWeights, Mode, PerfTrace, ServiceAggregate, ServiceId, ServiceProfiler, SimLog, UnitEvent,
 };
 
 impl PerfTrace {
@@ -87,6 +88,11 @@ impl PerfTrace {
             }
         }
         let mut parts = Vec::with_capacity(2 * self.segments.len());
+        let gap_count = gaps[..gaps.len().min(self.segments.len())]
+            .iter()
+            .filter(|&&gap| gap > 0)
+            .count();
+        let mut gap_rows = Vec::with_capacity(gap_count);
         let mut idle_residual = [0.0f64; UnitEvent::COUNT];
         let mut idle_agg = ServiceAggregate::empty();
         for i in 0..self.segments.len() {
@@ -97,16 +103,31 @@ impl PerfTrace {
             }
             let events = idle_gap_events(&self.idle_rates, gap, &mut idle_residual);
             idle_agg.add_invocation(gap, &events, &weights);
-            let mut first = ModeCounters::new();
-            *first.mode_mut(Mode::Idle) = events;
+            let first_row = gap_rows.len();
+            let mask = if events.is_zero() {
+                0
+            } else {
+                gap_rows.push(events);
+                1 << Mode::Idle.index()
+            };
             parts.push(Part::IdleGap {
                 cycles: gap,
-                events: Box::new(first),
+                mask,
+                first_row,
             });
         }
-        let log = SimLog::new(self.clocking, interval, self.segments.clone(), parts);
+        let log = SimLog::new(
+            self.clocking,
+            interval,
+            self.segments.clone(),
+            parts,
+            gap_rows,
+        );
 
         let mut profiler = ServiceProfiler::new(weights);
+        // Room for the idle service and the work services the caller
+        // merges on top, so the merge never regrows the map.
+        profiler.reserve(self.work_services.len() + 1);
         if idle_agg.invocations > 0 {
             profiler.merge_aggregate(idle_service, &idle_agg);
         }

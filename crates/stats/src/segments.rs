@@ -13,7 +13,9 @@
 //! Each segment keeps its own sample vector rather than one flat vector
 //! for the whole trace: a decoder fills vectors of a segment's size, which
 //! the allocator recycles from load to load, where a single trace-sized
-//! vector would be mapped, and page-faulted in, afresh on every load.
+//! vector would be mapped, and page-faulted in, afresh on every load. Each
+//! sample owns its event rows, one per mode it touched (see
+//! [`crate::ModeEvents`]).
 //!
 //! The block also carries one write-once memo slot for a post-processor
 //! (the power crate keeps each work window's energies there), so results
@@ -26,7 +28,8 @@ use std::sync::{Arc, OnceLock};
 
 use crate::{Mode, Sample};
 
-/// The type-erased, write-once memo slot of a [`Segments`] block.
+/// The type-erased, write-once memo slot of a [`Segments`] block or a
+/// [`crate::SimLog`].
 pub type MemoSlot = OnceLock<Box<dyn Any + Send + Sync>>;
 
 /// A trace's work samples split into segments at request boundaries,
@@ -35,12 +38,12 @@ pub type MemoSlot = OnceLock<Box<dyn Any + Send + Sync>>;
 /// # Examples
 ///
 /// ```
-/// use softwatt_stats::{Mode, ModeCounters, Sample, Segments};
+/// use softwatt_stats::{Mode, ModeEvents, Sample, Segments};
 ///
 /// let sample = |cycles| {
 ///     let mut mode_cycles = [0; Mode::COUNT];
 ///     mode_cycles[Mode::User.index()] = cycles;
-///     Sample { end_cycle: cycles, mode_cycles, events: ModeCounters::new() }
+///     Sample { end_cycle: cycles, mode_cycles, events: ModeEvents::default() }
 /// };
 /// let segments = Segments::new(vec![vec![sample(10), sample(4)], vec![], vec![sample(7)]]);
 /// assert_eq!(segments.len(), 3);

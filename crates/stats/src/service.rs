@@ -249,6 +249,11 @@ impl ServiceProfiler {
         }
     }
 
+    /// Makes room for `additional` more services' aggregates.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.aggregates.reserve(additional);
+    }
+
     /// Per-service aggregates accumulated so far.
     pub fn aggregates(&self) -> &HashMap<ServiceId, ServiceAggregate> {
         &self.aggregates

@@ -32,7 +32,9 @@
 //! Counts in a sampled simulation log are overwhelmingly small, so LEB128
 //! varints (with deltas where streams are monotone) keep the dominant
 //! SEGMENTS section compact. Floats travel as IEEE-754 bit patterns, so
-//! round trips are exact.
+//! round trips are exact. A sample is written with every counter of every
+//! mode and read back into its sparse form ([`crate::ModeEvents`]), one row
+//! per mode with a non-zero count, with no dense value in between.
 //!
 //! Every reader-side failure — bad magic, unsupported version, truncation,
 //! checksum mismatch, malformed sections, violated cross-section
@@ -44,7 +46,7 @@ use std::io::{self, Read, Write};
 
 use crate::hash::fnv1a;
 use crate::{
-    Mode, ModeCounters, PerfTrace, Sample, Segments, ServiceAggregate, ServiceId, TraceRequest,
+    Mode, ModeEvents, PerfTrace, Sample, Segments, ServiceAggregate, ServiceId, TraceRequest,
     UnitEvent,
 };
 
@@ -110,6 +112,13 @@ impl<'a> Cursor<'a> {
     }
 
     fn varint(&mut self) -> io::Result<u64> {
+        // Nearly every count of a sample fits in one byte.
+        if let Some(&byte) = self.data.get(self.pos) {
+            if byte & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
         match crate::varint::decode(&self.data[self.pos..]) {
             Ok(Some((v, used))) => {
                 self.pos += used;
@@ -218,8 +227,8 @@ impl PerfTrace {
                     put_varint(&mut payload, s.mode_cycles[m.index()]);
                 }
                 for m in Mode::ALL {
-                    for e in UnitEvent::ALL {
-                        put_varint(&mut payload, s.events.mode(m).get(e));
+                    for &count in s.events.mode(m).counts() {
+                        put_varint(&mut payload, count);
                     }
                 }
             }
@@ -353,6 +362,9 @@ impl PerfTrace {
         let mut sec = expect(SEC_SEGMENTS)?;
         let seg_count = sec.varint()?;
         let mut segments = Vec::with_capacity(sec.capacity(seg_count, MIN_SEGMENT_BYTES));
+        // A sample's rows, one per mode with a non-zero count, reused
+        // sample to sample.
+        let mut rows = Vec::with_capacity(Mode::COUNT);
         let mut prev_end = 0i64;
         for _ in 0..seg_count {
             let sample_count = sec.varint()?;
@@ -367,12 +379,12 @@ impl PerfTrace {
                 for mc in &mut mode_cycles {
                     *mc = sec.varint()?;
                 }
-                let mut events = ModeCounters::new();
-                for m in Mode::ALL {
-                    for e in UnitEvent::ALL {
-                        events.mode_mut(m).add(e, sec.varint()?);
+                let events = ModeEvents::read_rows(&mut rows, |_, counts| {
+                    for count in counts {
+                        *count = sec.varint()?;
                     }
-                }
+                    Ok::<_, io::Error>(())
+                })?;
                 segment.push(Sample {
                     end_cycle: end as u64,
                     mode_cycles,
@@ -413,7 +425,7 @@ impl PerfTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Clocking, CounterSet};
+    use crate::{Clocking, CounterSet, ModeCounters};
 
     fn sample(end: u64, user_cycles: u64, alu: u64) -> Sample {
         let mut events = ModeCounters::new();
@@ -423,7 +435,7 @@ mod tests {
         Sample {
             end_cycle: end,
             mode_cycles,
-            events,
+            events: (&events).into(),
         }
     }
 

@@ -132,7 +132,7 @@ mod tests {
         Sample {
             end_cycle: end,
             mode_cycles,
-            events,
+            events: (&events).into(),
         }
     }
 

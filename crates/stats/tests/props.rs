@@ -1,12 +1,13 @@
 //! Property tests on the statistics substrate: counter conservation,
 //! sampling coverage, service-frame accounting, time-scaling round trips,
-//! and CSV log round trips.
+//! CSV log round trips, and sparse window events against a dense
+//! reference.
 
 use proptest::prelude::*;
 
 use softwatt_stats::{
-    Clocking, EnergyWeights, Mode, PerfTrace, Sample, ServiceId, StatsCollector, TraceRequest,
-    UnitEvent,
+    Clocking, EnergyWeights, Mode, ModeCounters, PerfTrace, Sample, ServiceId, SimLog,
+    StatsCollector, TraceRequest, UnitEvent,
 };
 
 fn modes() -> impl Strategy<Value = Mode> {
@@ -22,8 +23,153 @@ fn events() -> impl Strategy<Value = UnitEvent> {
     (0usize..UnitEvent::COUNT).prop_map(UnitEvent::from_index)
 }
 
+/// One window of [`dense_windows`]: cycles per mode and dense events.
+type DenseWindow = ([u64; Mode::COUNT], ModeCounters);
+
+/// Whole-number idle rates, so a gap's synthesized events are exactly
+/// `rate * gap` and carry no residual.
+const WHOLE_RATES: [(UnitEvent, f64); 2] =
+    [(UnitEvent::IcacheAccess, 1.0), (UnitEvent::FetchCycle, 2.0)];
+
+/// The windows the collector writes for `steps`, worked out densely
+/// without it. Each step records `n` of `event` in `mode`, then either
+/// ticks `len` cycles in `mode` or, if `gap`, skips a `len`-cycle idle gap
+/// (so its events are recorded after the last tick, and land in the gap's
+/// first window unless the open window has cycles to flush them with).
+fn dense_windows(interval: u64, steps: &[(Mode, UnitEvent, u64, bool, u64)]) -> Vec<DenseWindow> {
+    let mut windows = Vec::new();
+    let mut events = ModeCounters::new();
+    let mut cycles = [0u64; Mode::COUNT];
+    let close = |windows: &mut Vec<DenseWindow>,
+                 events: &mut ModeCounters,
+                 cycles: &mut [u64; Mode::COUNT]| {
+        windows.push((std::mem::take(cycles), std::mem::take(events)));
+    };
+    for &(mode, event, n, gap, len) in steps {
+        events.mode_mut(mode).add(event, n);
+        if !gap {
+            for _ in 0..len {
+                cycles[mode.index()] += 1;
+                if cycles.iter().sum::<u64>() == interval {
+                    close(&mut windows, &mut events, &mut cycles);
+                }
+            }
+            continue;
+        }
+        if cycles.iter().sum::<u64>() > 0 {
+            close(&mut windows, &mut events, &mut cycles);
+        }
+        if len == 0 {
+            continue;
+        }
+        for (event, rate) in WHOLE_RATES {
+            events.mode_mut(Mode::Idle).add(event, rate as u64 * len);
+        }
+        let mut left = len;
+        while left > 0 {
+            let step = left.min(interval);
+            cycles[Mode::Idle.index()] = step;
+            close(&mut windows, &mut events, &mut cycles);
+            left -= step;
+        }
+    }
+    if cycles.iter().sum::<u64>() > 0 {
+        close(&mut windows, &mut events, &mut cycles);
+    }
+    windows
+}
+
+/// The log the collector writes for `steps` (see [`dense_windows`]).
+fn collected(interval: u64, steps: &[(Mode, UnitEvent, u64, bool, u64)]) -> SimLog {
+    let mut stats = StatsCollector::new(Clocking::scaled(200.0e6, 2000.0), interval);
+    for &(mode, event, n, gap, len) in steps {
+        stats.set_mode(mode);
+        stats.record_n(event, n);
+        if gap {
+            stats.skip_idle_gap(len, &WHOLE_RATES, ServiceId(4));
+        } else {
+            stats.tick_n(len);
+        }
+    }
+    stats.finish()
+}
+
+/// A trace whose segments are `log`'s block, one request between each
+/// two segments.
+fn trace_of(log: &SimLog) -> PerfTrace {
+    let block = log.block().clone();
+    let mut work = 0u64;
+    let mut requests = Vec::new();
+    for (i, segment) in block.iter().enumerate() {
+        work += segment.iter().map(Sample::cycles).sum::<u64>();
+        if i + 1 < block.len() {
+            requests.push(TraceRequest {
+                work_submit: work,
+                bytes: 512,
+            });
+        }
+    }
+    PerfTrace {
+        clocking: log.clocking(),
+        sample_interval: log.sample_interval(),
+        segments: block,
+        requests,
+        idle_rates: WHOLE_RATES.to_vec(),
+        work_services: Vec::new(),
+        work_cycles: work,
+        committed: 0,
+        user_instrs: 0,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every window's sparse events equal a dense reference worked out
+    /// without the collector: each mode's row equals the reference's
+    /// counters, a mode has a row exactly when one of its counts is
+    /// non-zero, and `combined()` is the dense sum. The log and a trace
+    /// of its block survive the CSV and the binary round trips.
+    #[test]
+    fn sparse_window_events_equal_a_dense_reference(
+        interval in 1u64..40,
+        steps in prop::collection::vec(
+            (modes(), events(), 0u64..6, any::<bool>(), 0u64..150),
+            1..60,
+        ),
+    ) {
+        let log = collected(interval, &steps);
+        let reference = dense_windows(interval, &steps);
+        prop_assert_eq!(log.len(), reference.len());
+        for (w, (cycles, dense)) in log.windows().zip(&reference) {
+            prop_assert_eq!(&w.mode_cycles, cycles);
+            for mode in Mode::ALL {
+                prop_assert_eq!(w.events.mode(mode), dense.mode(mode), "{}", mode);
+                let has_row = w.events.mask() & (1 << mode.index()) != 0;
+                prop_assert_eq!(has_row, dense.mode(mode).total() > 0, "{}", mode);
+            }
+            let rows: Vec<Mode> = w.events.rows().map(|(mode, _)| mode).collect();
+            let nonzero: Vec<Mode> = Mode::ALL
+                .into_iter()
+                .filter(|&m| dense.mode(m).total() > 0)
+                .collect();
+            prop_assert_eq!(rows, nonzero);
+            prop_assert_eq!(w.events.combined(), dense.combined());
+        }
+
+        let mut csv = Vec::new();
+        log.to_csv(&mut csv).unwrap();
+        let back = SimLog::from_csv(std::io::BufReader::new(&csv[..])).unwrap();
+        prop_assert_eq!(&back, &log);
+
+        let trace = trace_of(&log);
+        trace.validate().unwrap();
+        let mut bytes = Vec::new();
+        trace.to_binary(&mut bytes, b"").unwrap();
+        let (decoded, _) = PerfTrace::from_binary(&bytes[..]).unwrap();
+        prop_assert_eq!(&decoded, &trace);
+        prop_assert_eq!(decoded.segments.samples().count(), log.block().samples().count());
+    }
 
     /// Every recorded event appears exactly once in the finished log, in
     /// the mode it was recorded under, regardless of sampling interval.

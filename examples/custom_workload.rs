@@ -98,7 +98,11 @@ fn main() -> Result<(), String> {
     let narrow_sim = Simulator::new(config.clone())?;
     let input = File::open(&trace_path).map_err(|e| e.to_string())?;
     let reader = TraceReader::new(BufReader::new(input)).map_err(|e| e.to_string())?;
+    let status = reader.status();
     let narrow = narrow_sim.run_source(&spec, Box::new(reader));
+    if let Some(e) = status.error() {
+        return Err(format!("corrupt trace: {e}"));
+    }
     println!(
         "same trace on single-issue: {} cycles, IPC {:.2} ({:.2}x slower)",
         narrow.cycles,
