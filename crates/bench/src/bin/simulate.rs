@@ -255,7 +255,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             let source = Workload::new((*spec).clone(), config.clocking(), config.seed);
             let recording = softwatt_isa::Recording::new(source, BufWriter::new(out))
                 .map_err(|e| format!("cannot start trace {path}: {e}"))?;
+            let status = recording.status();
             let run = sim.run_source(&spec, Box::new(recording));
+            if let Some(e) = status.error() {
+                return Err(format!("cannot write trace {path}: {e}"));
+            }
             eprintln!("recorded user trace to {path}");
             bundle(run)
         }

@@ -6,21 +6,30 @@
 //! classic trace-driven methodology SimOS-era studies used for
 //! apples-to-apples machine comparisons).
 //!
-//! The format is a compact little-endian binary: a magic header, then one
-//! variable-length record per instruction. A trace ends at a record
-//! boundary; a trace that ends inside a record, or holds a record that
-//! does not decode, is corrupt, and its reader says so (see
-//! [`TraceReader::status`]).
+//! The format is a compact little-endian binary: a magic header, one
+//! variable-length record per instruction, then an end record that holds
+//! the number of instruction records and an FNV-1a 64 checksum of their
+//! bytes. A writer adds the end record when it is finished
+//! ([`TraceWriter::finish`]; a [`Recording`] finishes when its source
+//! ends). A trace is corrupt, and its reader says so (see
+//! [`TraceReader::status`]), if it ends anywhere but right after its end
+//! record (inside a record, or at a record boundary before the end
+//! record), holds a record that does not decode, or has an end record
+//! that disagrees with its records.
 
 use std::io::{self, Read, Write};
 use std::sync::{Arc, OnceLock};
 
+use softwatt_stats::hash::{fnv1a_extend, FNV1A_OFFSET};
 use softwatt_stats::StatsCollector;
 
 use crate::{FileRef, Instr, InstrSource, OpClass, Reg, SyscallKind};
 
-const MAGIC: &[u8; 8] = b"SWTRACE1";
+const MAGIC: &[u8; 8] = b"SWTRACE2";
 const NO_REG: u8 = 0xff;
+/// The first byte of the end record, where an instruction record has its
+/// opcode (no opcode is this large).
+const END: u8 = 0xff;
 
 // Flag bits of the per-record header byte.
 const F_TAKEN: u8 = 1 << 0;
@@ -112,13 +121,15 @@ fn syscall_from(code: u8, file: u32, offset: u64, bytes: u32) -> io::Result<Sysc
 /// let mut writer = TraceWriter::new(&mut buf)?;
 /// writer.record(&Instr::alu(0x10, Reg::int(1), None, None))?;
 /// writer.record(&Instr::load(0x14, Reg::int(2), Some(Reg::int(1)), 0x1000))?;
-/// drop(writer);
+/// writer.finish()?;
 ///
 /// let mut stats = StatsCollector::new(Clocking::default(), 100);
 /// let mut reader = TraceReader::new(&buf[..])?;
+/// let status = reader.status();
 /// assert_eq!(reader.next_instr(&mut stats).unwrap().pc, 0x10);
 /// assert_eq!(reader.next_instr(&mut stats).unwrap().mem_addr, Some(0x1000));
 /// assert!(reader.next_instr(&mut stats).is_none());
+/// assert!(status.error().is_none(), "a finished trace ends cleanly");
 /// # Ok(())
 /// # }
 /// ```
@@ -126,6 +137,10 @@ fn syscall_from(code: u8, file: u32, offset: u64, bytes: u32) -> io::Result<Sysc
 pub struct TraceWriter<W: Write> {
     out: W,
     recorded: u64,
+    // FNV-1a 64 of the records written so far.
+    checksum: u64,
+    // One record's bytes, reused record to record.
+    record: Vec<u8>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -136,7 +151,12 @@ impl<W: Write> TraceWriter<W> {
     /// Propagates I/O errors.
     pub fn new(mut out: W) -> io::Result<TraceWriter<W>> {
         out.write_all(MAGIC)?;
-        Ok(TraceWriter { out, recorded: 0 })
+        Ok(TraceWriter {
+            out,
+            recorded: 0,
+            checksum: FNV1A_OFFSET,
+            record: Vec::with_capacity(48),
+        })
     }
 
     /// Appends one instruction.
@@ -158,27 +178,31 @@ impl<W: Write> TraceWriter<W> {
         if instr.syscall.is_some() {
             flags |= F_SYSCALL;
         }
-        self.out.write_all(&[
+        let r = &mut self.record;
+        r.clear();
+        r.extend_from_slice(&[
             op_code(instr.op),
             flags,
             reg_code(instr.dest),
             reg_code(instr.src1),
             reg_code(instr.src2),
-        ])?;
-        self.out.write_all(&instr.pc.to_le_bytes())?;
+        ]);
+        r.extend_from_slice(&instr.pc.to_le_bytes());
         if let Some(addr) = instr.mem_addr {
-            self.out.write_all(&addr.to_le_bytes())?;
+            r.extend_from_slice(&addr.to_le_bytes());
         }
         if instr.op.is_branch() {
-            self.out.write_all(&instr.target.to_le_bytes())?;
+            r.extend_from_slice(&instr.target.to_le_bytes());
         }
         if let Some(kind) = instr.syscall {
             let (code, file, offset, bytes) = syscall_code(kind);
-            self.out.write_all(&[code])?;
-            self.out.write_all(&file.to_le_bytes())?;
-            self.out.write_all(&offset.to_le_bytes())?;
-            self.out.write_all(&bytes.to_le_bytes())?;
+            r.push(code);
+            r.extend_from_slice(&file.to_le_bytes());
+            r.extend_from_slice(&offset.to_le_bytes());
+            r.extend_from_slice(&bytes.to_le_bytes());
         }
+        self.out.write_all(r)?;
+        self.checksum = fnv1a_extend(self.checksum, r);
         self.recorded += 1;
         Ok(())
     }
@@ -187,34 +211,63 @@ impl<W: Write> TraceWriter<W> {
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
+
+    /// Ends the trace: writes the end record (the record count and the
+    /// records' checksum), flushes, and hands back the output. A trace
+    /// that is never finished reads as corrupt.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn finish(mut self) -> io::Result<W> {
+        self.out.write_all(&[END])?;
+        self.out.write_all(&self.recorded.to_le_bytes())?;
+        self.out.write_all(&self.checksum.to_le_bytes())?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
 }
 
 /// Replays a binary trace as an [`InstrSource`].
 ///
-/// The end of the file at a record boundary is the program's exit. Any
-/// other failure (a record cut short, a field that does not decode, an
-/// I/O error) also ends the stream, since an [`InstrSource`] cannot fail,
-/// but the reader keeps the error, with the index of the record it hit,
-/// where [`TraceReader::status`] reports it.
+/// The end record, with the end of the file right after it, is the
+/// program's exit. Any other end (a trace without its end record, a
+/// record cut short, a field that does not decode, an end record that
+/// disagrees with the records or is followed by more bytes, an I/O error)
+/// also ends the stream, since an [`InstrSource`] cannot fail, but the
+/// reader keeps the error, with the index of the record it hit, where
+/// [`TraceReader::status`] reports it.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     input: R,
     records: u64,
+    // FNV-1a 64 of the records read so far.
+    checksum: u64,
     done: bool,
     status: TraceStatus,
 }
 
-/// Whether a [`TraceReader`] stopped on an error: a handle that stays
-/// valid after the reader is handed to a machine.
+/// Whether a trace's reader or [`Recording`] stopped on an error: a
+/// handle that stays valid after the reader or recording is handed to a
+/// machine.
 #[derive(Debug, Clone, Default)]
 pub struct TraceStatus(Arc<OnceLock<io::Error>>);
 
 impl TraceStatus {
-    /// The error that ended the trace, if it did not end cleanly at a
-    /// record boundary. Its message names the record's index.
+    /// The error that ended the trace, if it did not end cleanly. A
+    /// reader's error names the record's index.
     pub fn error(&self) -> Option<&io::Error> {
         self.0.get()
     }
+
+    /// Keeps `error` unless an earlier one is kept.
+    fn fail(&self, error: io::Error) {
+        let _ = self.0.set(error);
+    }
+}
+
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 impl<R: Read> TraceReader<R> {
@@ -235,6 +288,7 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader {
             input,
             records: 0,
+            checksum: FNV1A_OFFSET,
             done: false,
             status: TraceStatus::default(),
         })
@@ -245,45 +299,92 @@ impl<R: Read> TraceReader<R> {
         self.status.clone()
     }
 
-    /// The next record, or `None` at the end of the file if it falls
-    /// between records.
-    fn read_instr(&mut self) -> io::Result<Option<Instr>> {
-        let mut head = [0u8; 5];
+    /// Fills `buf` from the input, folding it into the records' checksum.
+    fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        self.input.read_exact(buf)?;
+        self.checksum = fnv1a_extend(self.checksum, buf);
+        Ok(())
+    }
+
+    /// One byte, or `None` at the end of the file.
+    fn read_byte(&mut self) -> io::Result<Option<u8>> {
+        let mut byte = [0u8; 1];
         loop {
-            match self.input.read(&mut head[..1]) {
+            match self.input.read(&mut byte) {
                 Ok(0) => return Ok(None),
-                Ok(_) => break,
+                Ok(_) => return Ok(Some(byte[0])),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        self.input.read_exact(&mut head[1..])?;
+    }
+
+    /// Checks the end record, whose marker was just read, against the
+    /// records read, and that the file ends right after it.
+    fn read_end(&mut self) -> io::Result<()> {
+        let mut field = [0u8; 8];
+        self.input.read_exact(&mut field)?;
+        let count = u64::from_le_bytes(field);
+        self.input.read_exact(&mut field)?;
+        let checksum = u64::from_le_bytes(field);
+        if count != self.records {
+            return Err(invalid(format!(
+                "the end record counts {count} records, the trace holds {}",
+                self.records
+            )));
+        }
+        if checksum != self.checksum {
+            return Err(invalid(
+                "the records do not match the end record's checksum".to_string(),
+            ));
+        }
+        if self.read_byte()?.is_some() {
+            return Err(invalid("bytes follow the end record".to_string()));
+        }
+        Ok(())
+    }
+
+    /// The next record, or `None` after a valid end record.
+    fn read_instr(&mut self) -> io::Result<Option<Instr>> {
+        let mut head = [0u8; 5];
+        match self.read_byte()? {
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "the trace ends without its end record",
+                ))
+            }
+            Some(END) => return self.read_end().map(|()| None),
+            Some(op) => head[0] = op,
+        }
+        self.checksum = fnv1a_extend(self.checksum, &head[..1]);
+        self.read_exact(&mut head[1..])?;
         let op = op_from(head[0])?;
         let flags = head[1];
         let mut u64_buf = [0u8; 8];
-        self.input.read_exact(&mut u64_buf)?;
+        self.read_exact(&mut u64_buf)?;
         let pc = u64::from_le_bytes(u64_buf);
         let mem_addr = if flags & F_MEM != 0 {
-            self.input.read_exact(&mut u64_buf)?;
+            self.read_exact(&mut u64_buf)?;
             Some(u64::from_le_bytes(u64_buf))
         } else {
             None
         };
         let target = if flags & F_TARGET != 0 {
-            self.input.read_exact(&mut u64_buf)?;
+            self.read_exact(&mut u64_buf)?;
             u64::from_le_bytes(u64_buf)
         } else {
             0
         };
         let syscall = if flags & F_SYSCALL != 0 {
             let mut code = [0u8; 1];
-            self.input.read_exact(&mut code)?;
+            self.read_exact(&mut code)?;
             let mut u32_buf = [0u8; 4];
-            self.input.read_exact(&mut u32_buf)?;
+            self.read_exact(&mut u32_buf)?;
             let file = u32::from_le_bytes(u32_buf);
-            self.input.read_exact(&mut u64_buf)?;
+            self.read_exact(&mut u64_buf)?;
             let offset = u64::from_le_bytes(u64_buf);
-            self.input.read_exact(&mut u32_buf)?;
+            self.read_exact(&mut u32_buf)?;
             let bytes = u32::from_le_bytes(u32_buf);
             Some(syscall_from(code[0], file, offset, bytes)?)
         } else {
@@ -326,22 +427,34 @@ impl<R: Read> InstrSource for TraceReader<R> {
                 // keeps why.
                 self.done = true;
                 let cause = match e.kind() {
-                    io::ErrorKind::UnexpectedEof => "the trace ends inside it".to_string(),
+                    // `read_exact` ran out inside a record.
+                    io::ErrorKind::UnexpectedEof if e.get_ref().is_none() => {
+                        "the trace ends inside it".to_string()
+                    }
                     _ => e.to_string(),
                 };
                 let error = io::Error::new(e.kind(), format!("record {}: {cause}", self.records));
-                let _ = self.status.0.set(error);
+                self.status.fail(error);
                 None
             }
         }
     }
 }
 
-/// Wraps any source, recording everything it yields.
+/// Wraps any source, recording everything it yields. The trace is
+/// finished ([`TraceWriter::finish`]) when the source ends, which is the
+/// program's exit.
+///
+/// A write failure must not corrupt the run: the recording stops, the
+/// trace is left unfinished (so it reads as corrupt), and
+/// [`Recording::status`] keeps the error.
 #[derive(Debug)]
 pub struct Recording<S, W: Write> {
     inner: S,
-    writer: TraceWriter<W>,
+    // `None` once finished or failed.
+    writer: Option<TraceWriter<W>>,
+    recorded: u64,
+    status: TraceStatus,
 }
 
 impl<S: InstrSource, W: Write> Recording<S, W> {
@@ -353,22 +466,40 @@ impl<S: InstrSource, W: Write> Recording<S, W> {
     pub fn new(inner: S, out: W) -> io::Result<Recording<S, W>> {
         Ok(Recording {
             inner,
-            writer: TraceWriter::new(out)?,
+            writer: Some(TraceWriter::new(out)?),
+            recorded: 0,
+            status: TraceStatus::default(),
         })
     }
 
     /// Instructions recorded so far.
     pub fn recorded(&self) -> u64 {
-        self.writer.recorded()
+        self.recorded
+    }
+
+    /// A handle on whether writing the trace failed, to check after the
+    /// run.
+    pub fn status(&self) -> TraceStatus {
+        self.status.clone()
     }
 }
 
 impl<S: InstrSource, W: Write> InstrSource for Recording<S, W> {
     fn next_instr(&mut self, stats: &mut StatsCollector) -> Option<Instr> {
-        let instr = self.inner.next_instr(stats)?;
-        // Recording failure must not corrupt the run; drop the record.
-        let _ = self.writer.record(&instr);
-        Some(instr)
+        let instr = self.inner.next_instr(stats);
+        if let Some(mut writer) = self.writer.take() {
+            let written = match &instr {
+                Some(instr) => writer.record(instr).map(|()| {
+                    self.recorded += 1;
+                    self.writer = Some(writer);
+                }),
+                None => writer.finish().map(drop),
+            };
+            if let Err(e) = written {
+                self.status.fail(e);
+            }
+        }
+        instr
     }
 }
 
@@ -412,6 +543,7 @@ mod tests {
             w.record(i).unwrap();
         }
         assert_eq!(w.recorded(), instrs.len() as u64);
+        w.finish().unwrap();
 
         let mut stats = StatsCollector::new(Clocking::default(), 100);
         let mut r = TraceReader::new(&buf[..]).unwrap();
@@ -443,9 +575,54 @@ mod tests {
             }
             assert_eq!(n, instrs.len());
             assert_eq!(rec.recorded(), instrs.len() as u64);
+            assert!(rec.status().error().is_none());
         }
         let mut r = TraceReader::new(&buf[..]).unwrap();
         assert_eq!(r.next_instr(&mut stats).unwrap().pc, 0x100);
+        let (n, status) = read_all(&buf);
+        assert_eq!(n, instrs.len());
+        assert!(status.error().is_none(), "the recording finished its trace");
+    }
+
+    /// An output that fails once it holds `limit` bytes.
+    struct Failing {
+        written: usize,
+        limit: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.written + buf.len() > self.limit {
+                return Err(io::Error::other("disk full"));
+            }
+            self.written += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A write failure leaves the run intact and is kept for the caller.
+    #[test]
+    fn a_recording_keeps_its_write_failure() {
+        let instrs = sample_instrs();
+        let out = Failing {
+            written: 0,
+            limit: MAGIC.len() + 30,
+        };
+        let mut rec = Recording::new(VecSource::new(instrs.clone()), out).unwrap();
+        let status = rec.status();
+        let mut stats = StatsCollector::new(Clocking::default(), 100);
+        let mut n = 0;
+        while rec.next_instr(&mut stats).is_some() {
+            n += 1;
+        }
+        assert_eq!(n, instrs.len(), "the run sees every instruction");
+        assert!(rec.recorded() < instrs.len() as u64);
+        let err = status.error().expect("the failure is kept");
+        assert!(err.to_string().contains("disk full"), "{err}");
     }
 
     #[test]
@@ -453,14 +630,20 @@ mod tests {
         assert!(TraceReader::new(&b"NOTATRACE"[..]).is_err());
     }
 
+    /// A finished trace of `instrs`.
     fn encoded(instrs: &[Instr]) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut w = TraceWriter::new(&mut buf).unwrap();
         for i in instrs {
             w.record(i).unwrap();
         }
+        w.finish().unwrap();
         buf
     }
+
+    /// Bytes of the end record: its marker, the record count and the
+    /// checksum.
+    const END_RECORD_LEN: usize = 17;
 
     /// Reads `buf` to its end: the records read and how the trace ended.
     fn read_all(buf: &[u8]) -> (usize, TraceStatus) {
@@ -493,8 +676,10 @@ mod tests {
     #[test]
     fn a_torn_record_ends_the_trace_with_its_error() {
         let full = encoded(&sample_instrs());
+        // The last instruction record ends where the end record starts.
+        let records_end = full.len() - END_RECORD_LEN;
         for cut in [1, 3, 12] {
-            let (n, status) = read_all(&full[..full.len() - cut]);
+            let (n, status) = read_all(&full[..records_end - cut]);
             assert_eq!(n, sample_instrs().len() - 1, "cut {cut}");
             let err = status.error().expect("a torn record is an error");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
@@ -512,5 +697,71 @@ mod tests {
         let err = status.error().expect("a bad opcode is an error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("record 0"), "{err}");
+    }
+
+    /// The byte offset where each record of a finished trace of `instrs`
+    /// starts, the end record's last.
+    fn record_starts(instrs: &[Instr]) -> Vec<usize> {
+        (0..=instrs.len())
+            .map(|k| encoded(&instrs[..k]).len() - END_RECORD_LEN)
+            .collect()
+    }
+
+    /// A trace cut at any record boundary, the end record's included, is
+    /// corrupt: it stops after the records it holds, and its status says
+    /// the end record is missing.
+    #[test]
+    fn a_trace_cut_at_a_record_boundary_is_corrupt() {
+        let instrs = sample_instrs();
+        let full = encoded(&instrs);
+        for (k, &start) in record_starts(&instrs).iter().enumerate() {
+            let (n, status) = read_all(&full[..start]);
+            assert_eq!(n, k);
+            let err = status.error().expect("a cut trace is an error");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert_eq!(
+                err.to_string(),
+                format!("record {k}: the trace ends without its end record")
+            );
+        }
+        let (n, status) = read_all(&full[..full.len() - 1]);
+        assert_eq!(n, instrs.len());
+        let err = status.error().expect("a torn end record is an error");
+        assert!(err.to_string().contains("ends inside it"), "{err}");
+    }
+
+    /// An end record that disagrees with the records before it, or bytes
+    /// after it, make the trace corrupt.
+    #[test]
+    fn a_mismatched_end_record_is_corrupt() {
+        let instrs = sample_instrs();
+        let full = encoded(&instrs);
+        let end = full.len() - END_RECORD_LEN;
+        let corrupt = |buf: &[u8], records: usize, expect: &str| {
+            let (n, status) = read_all(buf);
+            assert_eq!(n, records, "{expect}");
+            let err = status.error().expect("a corrupt trace is an error");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{expect}");
+            assert!(err.to_string().contains(expect), "{err}");
+        };
+
+        // A pc byte of the first record: it still decodes.
+        let mut flipped = full.clone();
+        flipped[MAGIC.len() + 5] ^= 0x40;
+        corrupt(&flipped, instrs.len(), "checksum");
+
+        let mut recounted = full.clone();
+        recounted[end + 1] ^= 1;
+        corrupt(&recounted, instrs.len(), "counts");
+
+        // A whole record dropped: every record left still decodes.
+        let starts = record_starts(&instrs);
+        let mut dropped = full[..starts[3]].to_vec();
+        dropped.extend_from_slice(&full[starts[4]..]);
+        corrupt(&dropped, instrs.len() - 1, "counts");
+
+        let mut trailing = full.clone();
+        trailing.push(0);
+        corrupt(&trailing, instrs.len(), "follow");
     }
 }

@@ -4,9 +4,9 @@
 //! would defeat any content-addressed on-disk cache. FNV-1a 64 is the one
 //! hash this workspace uses for file names and trailing checksums: the
 //! trace store's keys (`softwatt::TraceKey`), spec content hashes, the
-//! peer ring's points, and the `swtrace` codec checksum all go
-//! through this function, so the formats agree byte-for-byte across
-//! processes and platforms.
+//! peer ring's points, the `swtrace` codec checksum and the instruction
+//! trace's end record all go through this function, so the formats agree
+//! byte-for-byte across processes and platforms.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -25,7 +25,20 @@ pub const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// ```
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV1A_OFFSET;
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// Extends the FNV-1a 64 hash `h` of some bytes with `bytes`, so a stream
+/// can be hashed piece by piece.
+///
+/// # Examples
+///
+/// ```
+/// use softwatt_stats::hash::{fnv1a, fnv1a_extend};
+/// assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+/// ```
+#[must_use]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV1A_PRIME);

@@ -20,12 +20,15 @@
 //! The block also carries one write-once memo slot for a post-processor
 //! (the power crate keeps each work window's energies there), so results
 //! derived from the windows are computed once per block rather than once
-//! per log that reads it.
+//! per log that reads it. Beside it, the block keeps its last replay
+//! ([`crate::PerfTrace::fast_replay`]): a replay whose inputs equal the
+//! last one's shares its runs instead of building them again.
 
 use std::any::Any;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::replay::LastReplay;
 use crate::{Mode, Sample};
 
 /// The type-erased, write-once memo slot of a [`Segments`] block or a
@@ -62,6 +65,7 @@ struct Block {
     totals: Option<Totals>,
     has_empty_sample: bool,
     memo: MemoSlot,
+    last_replay: Mutex<Option<LastReplay>>,
 }
 
 struct Totals {
@@ -113,6 +117,7 @@ impl Segments {
             totals,
             has_empty_sample,
             memo: OnceLock::new(),
+            last_replay: Mutex::new(None),
         }))
     }
 
@@ -204,6 +209,11 @@ impl Segments {
     /// equality or serialization.
     pub fn memo(&self) -> &MemoSlot {
         &self.0.memo
+    }
+
+    /// The block's last replay: one slot, so a block retains at most one.
+    pub(crate) fn last_replay(&self) -> &Mutex<Option<LastReplay>> {
+        &self.0.last_replay
     }
 }
 

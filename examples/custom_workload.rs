@@ -83,7 +83,11 @@ fn main() -> Result<(), String> {
     let sim = Simulator::new(config.clone())?;
     let out = File::create(&trace_path).map_err(|e| e.to_string())?;
     let recording = Recording::new(workload, BufWriter::new(out)).map_err(|e| e.to_string())?;
+    let recorded = recording.status();
     let wide = sim.run_source(&spec, Box::new(recording));
+    if let Some(e) = recorded.error() {
+        return Err(format!("cannot write trace: {e}"));
+    }
     println!(
         "txnbench on 4-wide MXS: {} cycles, IPC {:.2}, idle {:.1}%",
         wide.cycles,
