@@ -195,7 +195,7 @@ impl SystemConfig {
         }
         self.mxs.validate().map_err(|e| e.to_string())?;
         self.os.validate().map_err(|e| e.to_string())?;
-        Ok(())
+        self.disk.validate()
     }
 }
 
@@ -292,6 +292,53 @@ mod tests {
             ..SystemConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    /// Every duration the disk converts to cycles, and its transfer rate,
+    /// is checked: a value the disk cannot time is an error here rather
+    /// than a panic inside the disk.
+    #[test]
+    fn validation_catches_every_disk_duration() {
+        type Edit = fn(&mut DiskConfig, f64);
+        let fields: [(&str, Edit); 8] = [
+            ("standby threshold", |d, v| {
+                d.policy = DiskPolicy::Standby { threshold_s: v }
+            }),
+            ("sleep threshold", |d, v| {
+                d.policy = DiskPolicy::Sleep {
+                    threshold_s: v,
+                    sleep_after_s: 3.0,
+                }
+            }),
+            ("sleep delay", |d, v| {
+                d.policy = DiskPolicy::Sleep {
+                    threshold_s: 2.0,
+                    sleep_after_s: v,
+                }
+            }),
+            ("spin-up time", |d, v| d.timings.spin_up_s = v),
+            ("spin-down time", |d, v| d.timings.spin_down_s = v),
+            ("seek time", |d, v| d.timings.avg_seek_ms = v),
+            ("rotational latency", |d, v| d.timings.avg_rotation_ms = v),
+            ("transfer rate", |d, v| d.timings.transfer_mb_s = v),
+        ];
+        for (name, edit) in fields {
+            let with = |v| {
+                let mut c = SystemConfig::default();
+                edit(&mut c.disk, v);
+                c.validate()
+            };
+            assert_eq!(with(2.0), Ok(()), "{name} 2.0");
+            for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(with(bad).is_err(), "{name} {bad}");
+            }
+            let zero = with(0.0);
+            if name == "transfer rate" {
+                assert!(zero.is_err(), "a zero transfer rate");
+            } else {
+                assert_eq!(zero, Ok(()), "{name} 0.0");
+            }
+        }
     }
 
     #[test]

@@ -411,6 +411,20 @@ mod tests {
         }
     }
 
+    /// A policy the disk cannot time is refused up front, not left to
+    /// panic inside the disk during the run.
+    #[test]
+    fn a_disk_policy_the_disk_cannot_time_is_refused() {
+        for threshold_s in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut config = quick_config();
+            config.disk.policy = softwatt_disk::DiskPolicy::Standby { threshold_s };
+            let Err(err) = Simulator::new(config) else {
+                panic!("a {threshold_s} s threshold is refused")
+            };
+            assert!(err.contains("spin-down threshold"), "{err}");
+        }
+    }
+
     #[test]
     fn jess_runs_to_completion_on_mxs() {
         let sim = Simulator::new(quick_config()).unwrap();

@@ -120,6 +120,144 @@ mod tests {
         }
     }
 
+    /// 1 paper second = 133,333 1/3 cycles, so no policy or mechanical
+    /// duration is a whole number of cycles and each conversion rounds.
+    fn thirds_clk() -> Clocking {
+        Clocking::scaled(200.0e6, 1_500.0)
+    }
+
+    /// A fixed stream: mixed sizes, and idle stretches (the work between
+    /// two requests) of 0.1, 0.5, 1.5, 3, 11, 5, 0 and 4.5 s, then a
+    /// 10 s tail. Under STANDBY 2 s the 3 s and 5 s stretches end during
+    /// a spin-down, under STANDBY 4 s the 5 s and 4.5 s ones do.
+    fn fixed_stream() -> Vec<TraceRequest> {
+        let stretches_and_sizes = [
+            (13_333, 4096),
+            (66_667, 65_536),
+            (200_000, 512),
+            (400_000, 16_384),
+            (1_466_667, 131_072),
+            (666_667, 4096),
+            (1, 1 << 20),
+            (600_000, 8192),
+        ];
+        let mut work_submit = 0;
+        stretches_and_sizes
+            .iter()
+            .map(|&(stretch, bytes)| {
+                work_submit += stretch;
+                TraceRequest { work_submit, bytes }
+            })
+            .collect()
+    }
+
+    /// Every gap, the total cycles, the energy and each mode's seconds (by
+    /// bits), and the spin counts of the fixed stream under each policy,
+    /// pinned: a duration converted to cycles any other way (rounded
+    /// down, say) changes them.
+    #[test]
+    fn a_fixed_stream_times_and_charges_as_pinned() {
+        let reqs = fixed_stream();
+        let work_cycles = reqs.last().unwrap().work_submit + 1_333_333;
+        for (policy, gaps, total, energy, mode_secs, spins) in pinned() {
+            let t = replay_requests(DiskConfig::new(policy), thirds_clk(), &reqs, work_cycles);
+            assert_eq!(t.gaps, gaps, "{policy}");
+            assert_eq!(t.total_cycles, total, "{policy}");
+            assert_eq!(t.report.energy_j.to_bits(), energy, "{policy}");
+            assert_eq!(t.report.mode_secs.map(f64::to_bits), mode_secs, "{policy}");
+            assert_eq!((t.report.spinups, t.report.spindowns), spins, "{policy}");
+            assert_eq!(t.report.requests, reqs.len() as u64);
+        }
+    }
+
+    type Pinned = (DiskPolicy, Vec<u64>, u64, u64, [u64; 7], (u64, u64));
+
+    /// Recorded from the model before policies' durations were converted
+    /// once per disk.
+    fn pinned() -> Vec<Pinned> {
+        let standby = |threshold_s| DiskPolicy::Standby { threshold_s };
+        let sleep = DiskPolicy::Sleep {
+            threshold_s: 2.0,
+            sleep_after_s: 3.0,
+        };
+        let spinning = vec![2317, 3879, 2225, 2629, 5546, 2317, 28879, 2421];
+        let two_s = vec![2317, 3879, 2225, 1202631, 672213, 935652, 28879, 1002423];
+        vec![
+            (
+                DiskPolicy::Conventional,
+                spinning.clone(),
+                4_796_881,
+                0x405ccdff9b56323c,
+                [0, 0, 0, 0, 0x4041efb242070b8c, 0x3fba9e6eeb702601, 0],
+                (0, 0),
+            ),
+            (
+                DiskPolicy::IdleWhenNotBusy,
+                spinning,
+                4_796_881,
+                0x404d21208e150119,
+                [
+                    0,
+                    0,
+                    0,
+                    0x4041cccb295e9e1b,
+                    0x3fd1738c5436b8f9,
+                    0x3fba9e6eeb702601,
+                    0,
+                ],
+                (0, 0),
+            ),
+            (
+                standby(2.0),
+                two_s.clone(),
+                8_596_887,
+                0x405ac6f877ab324a,
+                [
+                    0x40390000d1b71759,
+                    0,
+                    0x401bfff972474539,
+                    0x40283332df505d10,
+                    0x3fd1738c5436b8f9,
+                    0x3fba9e6eeb702601,
+                    0x40340000a7c5ac47,
+                ],
+                (4, 5),
+            ),
+            (
+                standby(4.0),
+                vec![2317, 3879, 2225, 2629, 672213, 1202318, 28879, 1269089],
+                7_930_217,
+                0x4058c6f790fb6568,
+                [
+                    0x40340000a7c5ac47,
+                    0,
+                    0x4007fff822bbecab,
+                    0x40351997785729b2,
+                    0x3fd1738c5436b8f9,
+                    0x3fba9e6eeb702601,
+                    0x402e0000fba8826a,
+                ],
+                (3, 4),
+            ),
+            (
+                sleep,
+                two_s,
+                8_596_887,
+                0x405aba2bb341e14c,
+                [
+                    0x40390000d1b71759,
+                    0x3fefffeb074a771d,
+                    0x4017fffc115df656,
+                    0x40283332df505d10,
+                    0x3fd1738c5436b8f9,
+                    0x3fba9e6eeb702601,
+                    0x40340000a7c5ac47,
+                ],
+                (4, 5),
+            ),
+        ]
+    }
+
     #[test]
     fn spin_down_policies_grow_gaps() {
         let reqs = requests();

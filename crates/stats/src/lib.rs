@@ -57,6 +57,6 @@ pub use counters::{CounterSet, ModeCounters, ModeEvents, ModeRows};
 pub use event::UnitEvent;
 pub use log::{LogRun, RunWindows, Sample, SimLog, Window};
 pub use mode::Mode;
-pub use segments::Segments;
+pub use segments::{Memo, Segments};
 pub use service::{EnergyWeights, InvocationRecord, ServiceAggregate, ServiceId, ServiceProfiler};
 pub use trace::{PerfTrace, TraceRequest};

@@ -21,8 +21,9 @@
 //! (the power crate keeps each work window's energies there), so results
 //! derived from the windows are computed once per block rather than once
 //! per log that reads it. Beside it, the block keeps its last replay
-//! ([`crate::PerfTrace::fast_replay`]): a replay whose inputs equal the
-//! last one's shares its runs instead of building them again.
+//! ([`crate::PerfTrace::fast_replay`]): a replay resumes from the first
+//! segment whose gap differs from the last one's, and shares its runs when
+//! none does.
 
 use std::any::Any;
 use std::fmt;
@@ -31,9 +32,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::replay::LastReplay;
 use crate::{Mode, Sample};
 
-/// The type-erased, write-once memo slot of a [`Segments`] block or a
+/// What a post-processor keeps in a memo slot, type-erased and shared.
+pub type Memo = Arc<dyn Any + Send + Sync>;
+
+/// The write-once memo slot of a [`Segments`] block or a
 /// [`crate::SimLog`].
-pub type MemoSlot = OnceLock<Box<dyn Any + Send + Sync>>;
+pub type MemoSlot = OnceLock<Memo>;
 
 /// A trace's work samples split into segments at request boundaries,
 /// stored once in an immutable shared block. Cloning is an [`Arc`] clone.
@@ -65,7 +69,7 @@ struct Block {
     totals: Option<Totals>,
     has_empty_sample: bool,
     memo: MemoSlot,
-    last_replay: Mutex<Option<LastReplay>>,
+    last_replay: Mutex<Option<Arc<LastReplay>>>,
 }
 
 struct Totals {
@@ -212,7 +216,8 @@ impl Segments {
     }
 
     /// The block's last replay: one slot, so a block retains at most one.
-    pub(crate) fn last_replay(&self) -> &Mutex<Option<LastReplay>> {
+    /// A replay holds the lock only to clone or replace the entry.
+    pub(crate) fn last_replay(&self) -> &Mutex<Option<Arc<LastReplay>>> {
         &self.0.last_replay
     }
 }

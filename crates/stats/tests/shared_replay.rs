@@ -1,12 +1,17 @@
-//! Property test on shared replays: a trace replayed through a sequence
-//! of gap vectors, energy weights and idle-service ids gives, at every
-//! step, the log and service aggregates a freshly decoded copy of the
-//! trace gives, and post-processes to the same table and profile, bit for
-//! bit, whether its runs were shared with the step before or built anew.
-//! Runs are shared exactly when the step's gaps (zero where absent) and
-//! weights equal the step before's.
+//! Property test on shared and resumed replays: a trace replayed through
+//! a sequence of gap vectors, energy weights, idle rates and idle-service
+//! ids gives, at every step, the log and service aggregates a freshly
+//! decoded copy of the trace gives, and post-processes to the same table
+//! and profile, bit for bit, whether its runs were shared with the step
+//! before, resumed from them or built anew. Each step's gap vector keeps
+//! a prefix of random length of the step before's: none, all or some.
+//! Runs are shared exactly when the step's gaps (zero where absent),
+//! weights and idle rates equal the step before's; otherwise a replay
+//! with the same weights and idle rates builds only the gaps from the
+//! first segment whose gap differs, which the replay counters show.
 
 use proptest::prelude::*;
+use softwatt_obs::registry::counter;
 
 use softwatt_power::{
     ClockGating, GroupPower, ModePowerTable, PowerModel, PowerParams, PowerProfile, UnitGroup,
@@ -146,8 +151,25 @@ fn post(model: &PowerModel, log: &SimLog) -> Post {
     }
 }
 
-/// One replay step: its gap vector, weight set and idle service.
-type Step = (usize, usize, usize);
+/// A gap, zero one time in three.
+fn gap() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..3_000, 1u64..60]
+}
+
+/// The other of two sets, one time in five.
+fn now_and_then() -> impl Strategy<Value = usize> {
+    (0usize..5).prop_map(|draw| usize::from(draw == 0))
+}
+
+/// The replay counters: shared replays, and gaps resumed and built.
+fn replay_counts() -> [u64; 3] {
+    [
+        "stats.replays_shared",
+        "stats.replay_gaps_resumed",
+        "stats.replay_gaps_built",
+    ]
+    .map(|name| counter(name).get())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -156,90 +178,139 @@ proptest! {
     fn shared_replays_equal_fresh_replays(
         interval in 1u64..24,
         segments in prop::collection::vec(
-            prop::collection::vec((modes(), events(), 0u64..5), 0..40),
-            2..6,
+            prop::collection::vec((modes(), events(), 0u64..5), 0..30),
+            2..8,
         ),
-        rate_milli in prop::collection::vec((events(), 1u64..2_000), 1..3),
-        gap_vectors in prop::collection::vec(prop::collection::vec(0u64..3_000, 0..7), 3),
+        rate_milli in prop::collection::vec(
+            prop::collection::vec((events(), 1u64..2_000), 1..4),
+            2,
+        ),
+        // Each step: how much of the step before's gap vector it keeps,
+        // the entries it appends, and its weight set, idle rates, idle
+        // service, the model that post-processes it first and whether
+        // that model's first call is `mode_table`.
         steps in prop::collection::vec(
-            (any::<bool>(), 0usize..3, 0usize..2, 0usize..2),
-            1..14,
+            (
+                prop_oneof![Just(0usize), Just(usize::MAX), 0usize..9],
+                prop::collection::vec(gap(), 0..6),
+                now_and_then(),
+                now_and_then(),
+                0usize..2,
+                any::<bool>(),
+                any::<bool>(),
+            ),
+            1..16,
         ),
-        thread_step in 0usize..3,
+        thread_step in 0usize..16,
     ) {
-        let idle_rates = rate_milli
+        softwatt_obs::set_enabled(true);
+        let rates: Vec<Vec<(UnitEvent, f64)>> = rate_milli
             .iter()
-            .map(|&(event, milli)| (event, milli as f64 / 1000.0))
+            .map(|set| set.iter().map(|&(event, milli)| (event, milli as f64 / 1000.0)).collect())
             .collect();
-        let trace = capture(interval, &segments, idle_rates);
+        let trace = capture(interval, &segments, rates[0].clone());
+        // A clone with other idle rates shares the block, and with it the
+        // block's last replay.
+        let traces = [trace.clone(), PerfTrace { idle_rates: rates[1].clone(), ..trace.clone() }];
         let weights = weight_sets();
         let paper = PowerModel::new(&PowerParams::default());
         let cc1 = PowerModel::new(&PowerParams {
             gating: ClockGating::AlwaysOn,
             ..PowerParams::default()
         });
-
-        // Each step repeats the one before it or draws anew, so runs of
-        // equal inputs occur often.
-        let mut sequence: Vec<Step> = Vec::new();
-        for &(repeat, gaps, weight, idle) in &steps {
-            match sequence.last() {
-                Some(&last) if repeat => sequence.push(last),
-                _ => sequence.push((gaps, weight, idle)),
-            }
-        }
+        let cc3 = PowerModel::new(&PowerParams {
+            gating: ClockGating::GatedWithResidual(0.1),
+            ..PowerParams::default()
+        });
+        let models = [&paper, &cc1];
 
         // The gap after each segment: none is a zero gap.
-        let used = |gaps: usize| {
+        let used = |gaps: &[u64]| {
             (0..trace.segments.len())
-                .map(|i| gap_vectors[gaps].get(i).copied().unwrap_or(0))
+                .map(|i| gaps.get(i).copied().unwrap_or(0))
                 .collect::<Vec<_>>()
         };
-        let mut previous: Option<(Step, SimLog)> = None;
-        for &step in &sequence {
-            let (gaps, weight, idle) = step;
+        let mut gaps: Vec<u64> = Vec::new();
+        let mut previous: Option<(Vec<u64>, usize, usize, SimLog)> = None;
+        let mut replays = Vec::new();
+        for (keep, tail, weight, rate, idle, cc1_first, table_first) in &steps {
+            gaps.truncate(*keep);
+            gaps.extend(tail);
+            let (weight, rate, idle) = (*weight, *rate, *idle);
+            replays.push((gaps.clone(), weight, rate, idle));
+            let before = replay_counts();
             let (log, profiler) =
-                trace.fast_replay(&gap_vectors[gaps], weights[weight].clone(), IDLE_SERVICES[idle]);
+                traces[rate].fast_replay(&gaps, weights[weight].clone(), IDLE_SERVICES[idle]);
+            let after = replay_counts();
 
-            // The same replay of a fresh copy, post-processed by a model
-            // that owns none of its memos (CC1 claims them first).
-            let fresh = decoded(&trace);
+            // The same replay of a fresh copy, post-processed by models
+            // that own none of its memos (CC3 claims them first).
+            let fresh = PerfTrace { idle_rates: rates[rate].clone(), ..decoded(&trace) };
             let (fresh_log, fresh_profiler) =
-                fresh.fast_replay(&gap_vectors[gaps], weights[weight].clone(), IDLE_SERVICES[idle]);
-            cc1.mode_table(&fresh_log);
-            cc1.profile(&fresh_log);
-            let reference = post(&paper, &fresh_log);
+                fresh.fast_replay(&gaps, weights[weight].clone(), IDLE_SERVICES[idle]);
+            cc3.mode_table(&fresh_log);
+            cc3.profile(&fresh_log);
+            let reference = models.map(|model| post(model, &fresh_log));
 
             prop_assert_eq!(&log, &fresh_log);
             prop_assert_eq!(aggregate_bits(&profiler), aggregate_bits(&fresh_profiler));
+            // Either model may claim the log's gap memo, so a memo is
+            // seeded from its predecessor's by a model with the same
+            // parameters or by the other, and either call may fill it.
+            let order = if *cc1_first { [1, 0] } else { [0, 1] };
             for _ in 0..2 {
-                let got = post(&paper, &log);
-                prop_assert_eq!(&got.table, &reference.table);
-                prop_assert_eq!(&got.profile, &reference.profile);
+                for m in order {
+                    let got = if *table_first {
+                        post(models[m], &log)
+                    } else {
+                        let profile = profile_bits(&models[m].profile(&log));
+                        Post { table: table_bits(&models[m].mode_table(&log)), profile }
+                    };
+                    prop_assert_eq!(&got.table, &reference[m].table);
+                    prop_assert_eq!(&got.profile, &reference[m].profile);
+                }
             }
 
-            if let Some(((last_gaps, last_weight, _), last_log)) = &previous {
-                let same_inputs = used(*last_gaps) == used(gaps) && *last_weight == weight;
+            // The first segment whose gap differs from the step before's,
+            // when every other input is equal; none when all are.
+            let gaps_used = used(&gaps);
+            let resume_at = previous.as_ref().and_then(|(last, last_weight, last_rate, _)| {
+                (*last_weight == weight && *last_rate == rate).then(|| {
+                    last.iter().zip(&gaps_used).take_while(|(a, b)| a == b).count()
+                })
+            });
+            let nonzero = |gaps: &[u64]| gaps.iter().filter(|&&gap| gap > 0).count() as u64;
+            let shared = resume_at == Some(gaps_used.len());
+            let expected = if shared {
+                [1, 0, 0]
+            } else {
+                let k = resume_at.unwrap_or(0);
+                [0, nonzero(&gaps_used[..k]), nonzero(&gaps_used[k..])]
+            };
+            let counted: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            prop_assert_eq!(counted, expected.to_vec(), "shared, resumed and built gaps");
+            if let Some((_, _, _, last_log)) = &previous {
                 prop_assert_eq!(
                     std::ptr::eq(last_log.gap_memo(), log.gap_memo()),
-                    same_inputs,
-                    "runs are shared exactly when the gaps and weights repeat"
+                    shared,
+                    "runs are shared exactly when the gaps, weights and idle rates repeat"
                 );
             }
-            previous = Some((step, log));
+            previous = Some((gaps_used, weight, rate, log));
         }
 
         // A replay from a second thread reads the same slot.
-        let (gaps, weight, idle) = sequence[thread_step.min(sequence.len() - 1)];
+        let (gaps, weight, rate, idle) = &replays[thread_step.min(replays.len() - 1)];
         let (log, profiler) = std::thread::scope(|s| {
             s.spawn(|| {
-                trace.fast_replay(&gap_vectors[gaps], weights[weight].clone(), IDLE_SERVICES[idle])
+                traces[*rate].fast_replay(gaps, weights[*weight].clone(), IDLE_SERVICES[*idle])
             })
             .join()
             .expect("the replay thread finishes")
         });
-        let (fresh_log, fresh_profiler) = decoded(&trace)
-            .fast_replay(&gap_vectors[gaps], weights[weight].clone(), IDLE_SERVICES[idle]);
+        let fresh = PerfTrace { idle_rates: rates[*rate].clone(), ..decoded(&trace) };
+        let (fresh_log, fresh_profiler) =
+            fresh.fast_replay(gaps, weights[*weight].clone(), IDLE_SERVICES[*idle]);
         prop_assert_eq!(&log, &fresh_log);
         prop_assert_eq!(aggregate_bits(&profiler), aggregate_bits(&fresh_profiler));
         cc1.mode_table(&fresh_log);
