@@ -195,7 +195,7 @@ impl SystemConfig {
         }
         self.mxs.validate().map_err(|e| e.to_string())?;
         self.os.validate().map_err(|e| e.to_string())?;
-        self.disk.validate()
+        self.disk.validate(self.clocking())
     }
 }
 
@@ -339,6 +339,19 @@ mod tests {
                 assert_eq!(zero, Ok(()), "{name} 0.0");
             }
         }
+    }
+
+    /// A seek so long that its cycles could overflow the disk's plan is
+    /// refused by name at the configured clocking, not left to wrap the
+    /// plan during the run.
+    #[test]
+    fn a_seek_past_the_cycle_counter_is_refused() {
+        let mut c = SystemConfig::default();
+        c.disk.timings.avg_seek_ms = 1e300;
+        let err = c.validate().expect_err("an overflowing seek");
+        assert!(err.contains("seek time"), "{err}");
+        c.disk.timings.avg_seek_ms = 1e6;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn replay_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskPolicy;
+    use crate::{DiskMode, DiskPolicy};
 
     fn clk() -> Clocking {
         Clocking::scaled(200.0e6, 1_000.0)
@@ -256,6 +256,57 @@ mod tests {
                 (4, 5),
             ),
         ]
+    }
+
+    type Charged = (Vec<u64>, u64, u64, [u64; 7], (u64, u64));
+
+    /// The fixed stream's gaps, total cycles, energy and mode-seconds bits
+    /// and spin counts under `policy`.
+    fn charged(policy: DiskPolicy) -> Charged {
+        let reqs = fixed_stream();
+        let work_cycles = reqs.last().unwrap().work_submit + 1_333_333;
+        let t = replay_requests(DiskConfig::new(policy), thirds_clk(), &reqs, work_cycles);
+        (
+            t.gaps,
+            t.total_cycles,
+            t.report.energy_j.to_bits(),
+            t.report.mode_secs.map(f64::to_bits),
+            (t.report.spinups, t.report.spindowns),
+        )
+    }
+
+    /// A spin-down threshold too long for the cycle counter never elapses:
+    /// the fixed stream times and charges exactly as under a threshold
+    /// merely longer than the run (1e9 s, about 1.3e14 cycles here;
+    /// 1e300 s and `f64::MAX` saturate the counter).
+    #[test]
+    fn a_threshold_past_the_counter_never_spins_down() {
+        let never = charged(DiskPolicy::Standby { threshold_s: 1e9 });
+        assert_eq!(never.4, (0, 0));
+        for threshold_s in [1e300, f64::MAX] {
+            assert_eq!(charged(DiskPolicy::Standby { threshold_s }), never);
+            let sleep = DiskPolicy::Sleep {
+                threshold_s,
+                sleep_after_s: 3.0,
+            };
+            assert_eq!(charged(sleep), never, "{sleep}");
+        }
+    }
+
+    /// A sleep delay too long for the cycle counter never elapses, as one
+    /// merely longer than the run does not.
+    #[test]
+    fn a_sleep_delay_past_the_counter_never_sleeps() {
+        let sleep = |sleep_after_s| DiskPolicy::Sleep {
+            threshold_s: 2.0,
+            sleep_after_s,
+        };
+        let never = charged(sleep(1e9));
+        assert_eq!(never.3[DiskMode::Sleep.index()], 0);
+        assert_eq!(never.4, (4, 5), "spins down as STANDBY 2 s does");
+        for sleep_after_s in [1e300, f64::MAX] {
+            assert_eq!(charged(sleep(sleep_after_s)), never, "{sleep_after_s}");
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The assembled processor/memory power model.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use softwatt_mem::CacheGeometry;
 use softwatt_stats::{CounterSet, EnergyWeights, UnitEvent};
 
@@ -91,12 +94,69 @@ impl Default for PowerParams {
     }
 }
 
+impl PowerParams {
+    /// Whether `other` equals these parameters bit for bit: every float
+    /// compared by [`f64::to_bits`], every other field by value.
+    fn same_bits(&self, other: &PowerParams) -> bool {
+        let PowerParams {
+            tech,
+            il1,
+            dl1,
+            l2,
+            fetch_width,
+            decode_width,
+            issue_width,
+            mem_ports,
+            int_units,
+            fp_units,
+            window,
+            lsq,
+            bht,
+            btb,
+            ras,
+            tlb,
+            gating,
+        } = self;
+        let gating_bits = |gating: &ClockGating| match *gating {
+            ClockGating::AlwaysOn => (0, 0),
+            ClockGating::Gated => (1, 0),
+            ClockGating::GatedWithResidual(residual) => (2, residual.to_bits()),
+        };
+        // Every float's bits at once, folded without a branch.
+        let tech_differs = tech
+            .bits()
+            .iter()
+            .zip(other.tech.bits())
+            .fold(0, |differ, (a, b)| differ | (a ^ b));
+        tech_differs == 0
+            && gating_bits(gating) == gating_bits(&other.gating)
+            && (il1, dl1, l2) == (&other.il1, &other.dl1, &other.l2)
+            && (fetch_width, decode_width, issue_width)
+                == (&other.fetch_width, &other.decode_width, &other.issue_width)
+            && (mem_ports, int_units, fp_units)
+                == (&other.mem_ports, &other.int_units, &other.fp_units)
+            && (window, lsq, bht) == (&other.window, &other.lsq, &other.bht)
+            && (btb, ras, tlb) == (&other.btb, &other.ras, &other.tlb)
+    }
+}
+
 /// Per-event energy table plus the clock model — everything the
 /// post-processor needs to turn a log into Watts.
+///
+/// The parameters and the tables derived from them sit behind one
+/// reference count: a clone, and a model built on the same thread from
+/// parameters equal to the last model's there, share them (see
+/// [`PowerModel::new`]).
 ///
 /// See the crate docs for an example.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
+    tables: Arc<Tables>,
+}
+
+/// A [`PowerModel`]'s parameters and what it derives from them.
+#[derive(Debug, PartialEq)]
+struct Tables {
     params: PowerParams,
     energy_j: [f64; UnitEvent::COUNT],
     // `UnitGroup::of_event` resolved once per event index, so the window
@@ -104,6 +164,11 @@ pub struct PowerModel {
     // pass over the raw counts with no per-event enum dispatch.
     group_of: [Option<UnitGroup>; UnitEvent::COUNT],
     clock: ClockModel,
+}
+
+thread_local! {
+    /// The last model [`PowerModel::new`] built on this thread.
+    static LAST_MODEL: RefCell<Option<PowerModel>> = const { RefCell::new(None) };
 }
 
 /// Average power of `energy` spent over `cycles` cycles of a `freq_hz`
@@ -118,7 +183,50 @@ pub(crate) fn average_power_w(energy: &GroupPower, cycles: u64, freq_hz: f64) ->
 
 impl PowerModel {
     /// Builds the model from structural parameters.
+    ///
+    /// Each thread keeps the last model it built: parameters equal to
+    /// that model's, bit for bit (every float compared by its bits, so
+    /// -0.0 is not 0.0 and a NaN matches only the same NaN), share its
+    /// tables, and others derive their own and become the thread's last.
+    /// A replayed result's simulator and its post-processor build one
+    /// model each from the same parameters, so each costs a parameter
+    /// compare and a reference count once the thread's model matches.
     pub fn new(params: &PowerParams) -> PowerModel {
+        let reused = LAST_MODEL.with_borrow(|last| {
+            last.as_ref()
+                .filter(|model| model.tables.params.same_bits(params))
+                .cloned()
+        });
+        count_construction(reused.is_some());
+        if let Some(model) = reused {
+            return model;
+        }
+        let model = PowerModel {
+            tables: Arc::new(Tables::derive(params)),
+        };
+        LAST_MODEL.set(Some(model.clone()));
+        model
+    }
+
+    /// The parameters the model was built from.
+    pub fn params(&self) -> &PowerParams {
+        &self.tables.params
+    }
+
+    /// Energy charged per occurrence of `event` (J).
+    pub fn event_energy_j(&self, event: UnitEvent) -> f64 {
+        self.tables.energy_j[event.index()]
+    }
+
+    /// The clock model.
+    pub fn clock(&self) -> &ClockModel {
+        &self.tables.clock
+    }
+}
+
+impl Tables {
+    /// Derives the tables of `params`.
+    fn derive(params: &PowerParams) -> Tables {
         let tech = &params.tech;
         let il1 = cache_energy(tech, params.il1, 64);
         let dl1 = cache_energy(tech, params.dl1, 64);
@@ -177,35 +285,22 @@ impl PowerModel {
             group_of[ev.index()] = UnitGroup::of_event(ev);
         }
 
-        PowerModel {
+        Tables {
             params: *params,
             energy_j: e,
             group_of,
             clock: ClockModel::new(*tech),
         }
     }
+}
 
-    /// The parameters the model was built from.
-    pub fn params(&self) -> &PowerParams {
-        &self.params
-    }
-
-    /// Energy charged per occurrence of `event` (J).
-    pub fn event_energy_j(&self, event: UnitEvent) -> f64 {
-        self.energy_j[event.index()]
-    }
-
-    /// The clock model.
-    pub fn clock(&self) -> &ClockModel {
-        &self.clock
-    }
-
+impl PowerModel {
     /// Energy of a window of `cycles` cycles with the given event counts,
     /// per group, including clock energy, under the configured
     /// [`ClockGating`] style (J).
     pub fn window_energy_j(&self, events: &CounterSet, cycles: u64) -> GroupPower {
         let gated = self.gated_window_energy_j(events, cycles);
-        match self.params.gating {
+        match self.params().gating {
             ClockGating::Gated => gated,
             ClockGating::AlwaysOn => self.peak_window_energy_j(cycles),
             ClockGating::GatedWithResidual(residual) => {
@@ -222,6 +317,7 @@ impl PowerModel {
     }
 
     fn gated_window_energy_j(&self, events: &CounterSet, cycles: u64) -> GroupPower {
+        let tables = &*self.tables;
         let mut out = GroupPower::new();
         // One pass over the raw counts in index order — the same
         // accumulation order as the old per-event dispatch, so every
@@ -230,17 +326,17 @@ impl PowerModel {
             if count == 0 {
                 continue;
             }
-            if let Some(group) = self.group_of[i] {
-                out.add(group, count as f64 * self.energy_j[i]);
+            if let Some(group) = tables.group_of[i] {
+                out.add(group, count as f64 * tables.energy_j[i]);
             }
         }
-        out.add(UnitGroup::Clock, self.clock.energy_j(events, cycles));
+        out.add(UnitGroup::Clock, tables.clock.energy_j(events, cycles));
         out
     }
 
     /// Energy of `cycles` cycles at the structural peak (the CC1 bound).
     fn peak_window_energy_j(&self, cycles: u64) -> GroupPower {
-        let secs = cycles as f64 / self.params.tech.freq_hz;
+        let secs = cycles as f64 / self.params().tech.freq_hz;
         self.peak_power_w().scaled(secs)
     }
 
@@ -249,13 +345,13 @@ impl PowerModel {
         let cycles = 1_000u64;
         let events = self.max_event_window(cycles);
         let mut out = self.gated_window_energy_j(&events, cycles);
-        out = out.scaled(self.params.tech.freq_hz / cycles as f64);
+        out = out.scaled(self.params().tech.freq_hz / cycles as f64);
         out
     }
 
     /// The synthetic event window used by the validation experiment.
     fn max_event_window(&self, cycles: u64) -> CounterSet {
-        let p = &self.params;
+        let p = self.params();
         let mut events = CounterSet::new();
         let mut at = |ev: UnitEvent, per_cycle: f64| {
             events.add(ev, (per_cycle * cycles as f64) as u64);
@@ -293,7 +389,7 @@ impl PowerModel {
         average_power_w(
             &self.window_energy_j(events, cycles),
             cycles,
-            self.params.tech.freq_hz,
+            self.params().tech.freq_hz,
         )
     }
 
@@ -316,14 +412,64 @@ impl PowerModel {
     /// granularity by the post-processor instead.
     pub fn energy_weights(&self) -> EnergyWeights {
         EnergyWeights {
-            per_event_j: self.energy_j,
+            per_event_j: self.tables.energy_j,
         }
+    }
+}
+
+/// Counts one [`PowerModel::new`] call: a derivation of its tables, or a
+/// reuse of the thread's last model's. One flag check per call.
+fn count_construction(reused: bool) {
+    if softwatt_obs::enabled() {
+        let name = if reused {
+            "power.model_reuses"
+        } else {
+            "power.model_derivations"
+        };
+        softwatt_obs::registry::counter(name).add(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A model built from parameters equal, bit for bit, to the thread's
+    /// last model's shares its tables; any other derives its own, which
+    /// equal a fresh derivation. The thread keeps one model.
+    #[test]
+    fn equal_parameters_share_the_last_models_tables() {
+        let paper = PowerParams::default();
+        let first = PowerModel::new(&paper);
+        let second = PowerModel::new(&paper);
+        assert!(Arc::ptr_eq(&first.tables, &second.tables));
+        assert_eq!(*second.tables, Tables::derive(&paper));
+
+        let residual = |r| PowerParams {
+            gating: ClockGating::GatedWithResidual(r),
+            ..paper
+        };
+        // 0.0 == -0.0 as floats, but not as bits.
+        let zero = PowerModel::new(&residual(0.0));
+        let negative_zero = PowerModel::new(&residual(-0.0));
+        assert!(!Arc::ptr_eq(&zero.tables, &negative_zero.tables));
+        // A NaN is unequal to itself as a float, but has one bit pattern.
+        let nan = PowerModel::new(&residual(f64::NAN));
+        assert!(Arc::ptr_eq(
+            &nan.tables,
+            &PowerModel::new(&residual(f64::NAN)).tables
+        ));
+        let mut tech = paper.tech;
+        tech.c_clock_per_bit = f64::from_bits(tech.c_clock_per_bit.to_bits() + 1);
+        let nudged = PowerModel::new(&PowerParams { tech, ..paper });
+        assert!(!Arc::ptr_eq(&nan.tables, &nudged.tables));
+        assert_ne!(nudged, first);
+
+        // One entry: the paper's tables are derived again, and equal.
+        let again = PowerModel::new(&paper);
+        assert!(!Arc::ptr_eq(&first.tables, &again.tables));
+        assert_eq!(again, first);
+    }
 
     #[test]
     fn max_power_lands_in_validation_band() {

@@ -34,6 +34,7 @@
 //! window-by-window fold in log order, so every result is bit-identical
 //! to computing each window directly.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -477,7 +478,7 @@ impl PowerModel {
     /// memo, seeded from the memo the log's runs were resumed from when
     /// this model filled that one. Also returns `Some(filled)` when the
     /// model owns the memo, `None` otherwise (see [`count_post_call`]).
-    fn gap_memo(&self, log: &SimLog) -> (Arc<GapMemo>, Option<bool>) {
+    fn gap_memo<'a>(&self, log: &'a SimLog) -> (Cow<'a, GapMemo>, Option<bool>) {
         let mut filled = false;
         let memo = log.gap_memo().get_or_init(|| {
             filled = true;
@@ -488,37 +489,45 @@ impl PowerModel {
             let seed = seed.as_ref().map(|(memo, copied)| (&**memo, *copied));
             Arc::new(self.gap_data(log, seed))
         });
-        match Arc::clone(memo).downcast::<GapMemo>() {
-            Ok(memo) if memo.params == *self.params() => (memo, Some(filled)),
-            _ => (Arc::new(self.gap_data(log, None)), None),
+        match memo.downcast_ref::<GapMemo>() {
+            Some(memo) if memo.params == *self.params() => (Cow::Borrowed(memo), Some(filled)),
+            _ => (Cow::Owned(self.gap_data(log, None)), None),
         }
     }
 
     /// What this model derives from `log`'s idle gaps, the first `copied`
     /// gaps' copied from `seed` (a memo of this model's over runs whose
     /// first `copied` gaps are the log's). Every other gap's windows are
-    /// evaluated here, a full event-free window once per memo.
+    /// evaluated here, a full event-free window once per memo. The gaps
+    /// are written straight into one allocation of the log's gap count.
     fn gap_data(&self, log: &SimLog, seed: Option<(&GapMemo, usize)>) -> GapMemo {
         let (copied, mut full) = seed.map_or((0, None), |(memo, copied)| (copied, memo.full));
-        let mut gaps = Vec::new();
-        if let Some((memo, _)) = seed {
-            gaps.extend_from_slice(&memo.gaps[..copied]);
-        }
-        let built = log.runs().filter_map(|run| match run {
-            LogRun::IdleGap {
-                cycles,
-                interval,
-                events,
-                ..
-            } => Some((cycles, interval, events)),
-            LogRun::Segment { .. } => None,
-        });
-        for (cycles, interval, events) in built.skip(copied) {
-            gaps.push(self.gap_windows(cycles, interval, events, &mut full));
-        }
+        let mut built = log
+            .runs()
+            .filter_map(|run| match run {
+                LogRun::IdleGap {
+                    cycles,
+                    interval,
+                    events,
+                    ..
+                } => Some((cycles, interval, events)),
+                LogRun::Segment { .. } => None,
+            })
+            .skip(copied);
+        // A mapped range has an exact length, so the `Arc` is allocated
+        // once at its final size and filled in place.
+        let gaps = (0..log.gap_count())
+            .map(|gap| match seed {
+                Some((memo, _)) if gap < copied => memo.gaps[gap],
+                _ => {
+                    let (cycles, interval, events) = built.next().expect("one run per gap");
+                    self.gap_windows(cycles, interval, events, &mut full)
+                }
+            })
+            .collect();
         GapMemo {
             params: *self.params(),
-            gaps: gaps.into(),
+            gaps,
             full,
         }
     }
@@ -637,6 +646,7 @@ fn idle_cycles(cycles: u64) -> [u64; Mode::COUNT] {
 /// parameters, so a memo over runs that share their first gaps with
 /// another replay's copies those gaps' entries from that replay's memo
 /// when an equal model filled it, and evaluates only the rest.
+#[derive(Clone)]
 struct GapMemo {
     params: PowerParams,
     gaps: Arc<[GapWindows]>,

@@ -54,6 +54,53 @@ pub struct TechParams {
     pub c_clock_per_bit: f64,
 }
 
+impl TechParams {
+    /// Every field's bits, in declaration order.
+    pub(crate) fn bits(&self) -> [u64; 18] {
+        let TechParams {
+            vdd,
+            freq_hz,
+            c_bitline_per_cell,
+            c_wordline_per_cell,
+            bitline_swing,
+            c_senseamp,
+            c_decoder_per_bit,
+            c_output_per_bit,
+            c_compare_per_bit,
+            c_cam_per_bit,
+            c_array_port,
+            c_alu_op,
+            c_mul_op,
+            c_fpu_op,
+            c_result_bus,
+            e_dram_access,
+            c_clock_tree,
+            c_clock_per_bit,
+        } = *self;
+        [
+            vdd,
+            freq_hz,
+            c_bitline_per_cell,
+            c_wordline_per_cell,
+            bitline_swing,
+            c_senseamp,
+            c_decoder_per_bit,
+            c_output_per_bit,
+            c_compare_per_bit,
+            c_cam_per_bit,
+            c_array_port,
+            c_alu_op,
+            c_mul_op,
+            c_fpu_op,
+            c_result_bus,
+            e_dram_access,
+            c_clock_tree,
+            c_clock_per_bit,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
 impl Default for TechParams {
     fn default() -> Self {
         TechParams {

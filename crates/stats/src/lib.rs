@@ -58,5 +58,8 @@ pub use event::UnitEvent;
 pub use log::{LogRun, RunWindows, Sample, SimLog, Window};
 pub use mode::Mode;
 pub use segments::{Memo, Segments};
-pub use service::{EnergyWeights, InvocationRecord, ServiceAggregate, ServiceId, ServiceProfiler};
+pub use service::{
+    EnergyWeights, InvocationRecord, ServiceAggregate, ServiceAggregates, ServiceId,
+    ServiceIdHasher, ServiceProfiler,
+};
 pub use trace::{PerfTrace, TraceRequest};

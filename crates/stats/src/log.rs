@@ -452,6 +452,11 @@ impl SimLog {
             .take()
     }
 
+    /// Number of idle gaps: the runs that are not segments of the block.
+    pub fn gap_count(&self) -> usize {
+        self.runs.parts.len() - self.block.len()
+    }
+
     /// The lengths of the log's idle gaps, in order.
     fn gaps(&self) -> impl Iterator<Item = u64> + '_ {
         self.runs.parts.iter().filter_map(|part| match part {

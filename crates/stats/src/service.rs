@@ -15,8 +15,10 @@
 //! This is the same "online exception" the paper makes for the disk,
 //! applied to invocation granularity.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{CounterSet, UnitEvent};
 
@@ -32,6 +34,34 @@ impl fmt::Display for ServiceId {
         write!(f, "svc#{}", self.0)
     }
 }
+
+/// The hasher of [`ServiceAggregates`]: a [`ServiceId`] times an odd 64-bit
+/// constant. A hash map places a key by the hash's low bits, which the
+/// product keeps distinct for ids distinct in as many low bits, and
+/// hashbrown tags it with the top seven, which the product fills for
+/// small ids where the id itself would leave them zero.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServiceIdHasher(u64);
+
+impl Hasher for ServiceIdHasher {
+    fn write_u16(&mut self, id: u16) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u16(u16::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-service aggregates, hashed by [`ServiceIdHasher`].
+pub type ServiceAggregates =
+    HashMap<ServiceId, ServiceAggregate, BuildHasherDefault<ServiceIdHasher>>;
 
 /// Per-event energies (Joules) used to compute a per-invocation energy
 /// online. The weights cover unit accesses including their share of the
@@ -114,6 +144,15 @@ impl ServiceAggregate {
         self.energy_sumsq_j2 += other.energy_sumsq_j2;
     }
 
+    /// Adds each energy sum to 0.0, as [`ServiceAggregate::merge`] into
+    /// [`ServiceAggregate::empty`] does, so a copy of an aggregate plus
+    /// this is that merge, bit for bit: a count added to zero is itself,
+    /// and 0.0 + -0.0 is 0.0.
+    fn add_sums_to_zero(&mut self) {
+        self.energy_sum_j += 0.0;
+        self.energy_sumsq_j2 += 0.0;
+    }
+
     /// Mean per-invocation energy in Joules, or `None` with no invocations.
     pub fn mean_energy_j(&self) -> Option<f64> {
         (self.invocations > 0).then(|| self.energy_sum_j / self.invocations as f64)
@@ -170,7 +209,7 @@ struct Frame {
 #[derive(Debug, Clone)]
 pub struct ServiceProfiler {
     stack: Vec<Frame>,
-    aggregates: HashMap<ServiceId, ServiceAggregate>,
+    aggregates: ServiceAggregates,
     weights: EnergyWeights,
 }
 
@@ -179,7 +218,7 @@ impl ServiceProfiler {
     pub fn new(weights: EnergyWeights) -> ServiceProfiler {
         ServiceProfiler {
             stack: Vec::new(),
-            aggregates: HashMap::new(),
+            aggregates: ServiceAggregates::default(),
             weights,
         }
     }
@@ -255,7 +294,7 @@ impl ServiceProfiler {
     }
 
     /// Per-service aggregates accumulated so far.
-    pub fn aggregates(&self) -> &HashMap<ServiceId, ServiceAggregate> {
+    pub fn aggregates(&self) -> &ServiceAggregates {
         &self.aggregates
     }
 
@@ -265,10 +304,10 @@ impl ServiceProfiler {
     /// work services captured during the original simulation next to the
     /// idle-process frames the replay rebuilds itself.
     pub fn merge_aggregate(&mut self, service: ServiceId, aggregate: &ServiceAggregate) {
-        self.aggregates
-            .entry(service)
-            .or_insert_with(ServiceAggregate::empty)
-            .merge(aggregate);
+        match self.aggregates.entry(service) {
+            Entry::Occupied(mut held) => held.get_mut().merge(aggregate),
+            Entry::Vacant(slot) => slot.insert(aggregate.clone()).add_sums_to_zero(),
+        }
     }
 
     /// The weights table in use.
@@ -352,6 +391,40 @@ mod tests {
         let mut p = ServiceProfiler::new(EnergyWeights::zero());
         p.enter(ServiceId(1), 0, &CounterSet::new());
         let _ = p.exit(ServiceId(2), 1, &CounterSet::new());
+    }
+
+    /// A service merged into a profiler that lacks it is stored as
+    /// `ServiceAggregate::empty()` with it merged in, every bit alike,
+    /// signed zero and NaN included; a second merge adds to it.
+    #[test]
+    fn a_first_merge_equals_a_merge_into_empty() {
+        for (sum, sumsq) in [(-0.0, -0.0), (1.5e-9, f64::NAN), (0.0, 2.0)] {
+            let aggregate = ServiceAggregate {
+                invocations: 3,
+                cycles: 70,
+                events: counters_with(11),
+                energy_sum_j: sum,
+                energy_sumsq_j2: sumsq,
+            };
+            let mut expected = ServiceAggregate::empty();
+            expected.merge(&aggregate);
+            let mut p = ServiceProfiler::new(EnergyWeights::zero());
+            p.merge_aggregate(ServiceId(5), &aggregate);
+            let held = &p.aggregates()[&ServiceId(5)];
+            let bits = |a: &ServiceAggregate| {
+                (
+                    a.invocations,
+                    a.cycles,
+                    a.events.clone(),
+                    a.energy_sum_j.to_bits(),
+                    a.energy_sumsq_j2.to_bits(),
+                )
+            };
+            assert_eq!(bits(held), bits(&expected));
+            p.merge_aggregate(ServiceId(5), &aggregate);
+            expected.merge(&aggregate);
+            assert_eq!(bits(&p.aggregates()[&ServiceId(5)]), bits(&expected));
+        }
     }
 
     #[test]
